@@ -1,20 +1,24 @@
 //! The transport-independent exchange API.
 //!
-//! Integrators and reconcilers are written against [`ExchangeApi`] and do
-//! not know whether the exchange lives in-process ([`crate::loopback`]) or
-//! across a network ([`crate::client`]). This is the seam that lets the
-//! benchmarks swap deployments without touching composition logic.
+//! [`Exchange`] is the narrow waist: one `call(Request) -> Response` plus
+//! the two stream openers. Every transport and every layer (retry, fault
+//! injection, shard routing, replica routing) implements exactly that, so
+//! layers stack in any order. [`ExchangeApi`] is the typed surface
+//! integrators and reconcilers are written against; it exists once, as
+//! provided methods over [`Exchange`], and is the only place a typed call
+//! becomes a [`Request`] and a [`Response`] becomes a typed result.
 
-use crate::proto::{ProfileSpec, QuerySpec};
+use crate::proto::{ProfileSpec, QuerySpec, Request, Response};
 use knactor_logstore::LogRecord;
 use knactor_store::udf::UdfAssignment;
 use knactor_store::{BatchOp, ItemResult, PutItem, StoredObject, TxOp, UdfBinding, WatchEvent};
-use knactor_types::{ObjectKey, Result, Revision, Schema, SchemaName, StoreId, Value};
+use knactor_types::metrics::MetricsSnapshot;
+use knactor_types::{Error, ObjectKey, Result, Revision, Schema, SchemaName, StoreId, Value};
 use std::future::Future;
 use std::pin::Pin;
 use tokio::sync::mpsc;
 
-/// Boxed future alias so the trait stays object-safe.
+/// Boxed future alias so the traits stay object-safe.
 pub type BoxFuture<'a, T> = Pin<Box<dyn Future<Output = T> + Send + 'a>>;
 
 /// Stream of object watch events.
@@ -24,39 +28,176 @@ pub type WatchRx = mpsc::UnboundedReceiver<WatchEvent>;
 /// plus typed `Lagged` resume points when retention outran the tailer.
 pub type TailRx = knactor_logstore::TailRx;
 
-/// Everything a client can do against a data exchange (Object + Log).
-pub trait ExchangeApi: Send + Sync {
+/// A data exchange (Object + Log) as seen through the wire vocabulary.
+pub trait Exchange: Send + Sync {
+    /// One request, one reply. Error replies surface as `Err`. The
+    /// stream requests (`Watch`, `ReplSubscribe`, `LogTail`) are not
+    /// calls: sent here they fail with a typed [`Error::Internal`].
+    fn call(&self, request: Request) -> BoxFuture<'_, Result<Response>>;
+
+    /// Open an object event stream; `request` is `Request::Watch` or
+    /// `Request::ReplSubscribe`.
+    fn open_watch(&self, request: Request) -> BoxFuture<'_, Result<WatchRx>>;
+
+    /// Open a log tail; `request` is `Request::LogTail`.
+    fn open_tail(&self, request: Request) -> BoxFuture<'_, Result<TailRx>>;
+}
+
+/// The error for a request handed to the wrong [`Exchange`] entry point.
+pub(crate) fn misrouted(request: &Request, entry: &str) -> Error {
+    Error::Internal(format!("{request:?} is not served through `{entry}`"))
+}
+
+/// One node's answer to [`ExchangeApi::repl_status`].
+#[derive(Debug, Clone)]
+pub struct ReplStatusInfo {
+    pub leader: bool,
+    pub epoch: u64,
+    /// Per-store applied revisions (replication progress).
+    pub applied: Vec<(StoreId, Revision)>,
+}
+
+impl ReplStatusInfo {
+    /// Total applied revisions across stores — the "how caught up is
+    /// this node" scalar that failover elections compare.
+    pub fn total_applied(&self) -> u64 {
+        self.applied.iter().map(|(_, r)| r.0).sum()
+    }
+
+    pub fn applied_for(&self, store: &StoreId) -> Revision {
+        self.applied
+            .iter()
+            .find(|(s, _)| s == store)
+            .map(|(_, r)| *r)
+            .unwrap_or(Revision::ZERO)
+    }
+}
+
+/// Unpack a reply: `pick` extracts the expected variant or hands the
+/// response back, which becomes a transport error.
+fn reply<'a, T: 'a>(
+    call: BoxFuture<'a, Result<Response>>,
+    pick: fn(Response) -> std::result::Result<T, Response>,
+) -> BoxFuture<'a, Result<T>> {
+    Box::pin(async move {
+        pick(call.await?).map_err(|r| Error::Transport(format!("unexpected response {r:?}")))
+    })
+}
+
+type Picked<T> = std::result::Result<T, Response>;
+
+fn ok(r: Response) -> Picked<()> {
+    match r {
+        Response::Ok => Ok(()),
+        other => Err(other),
+    }
+}
+
+fn revision(r: Response) -> Picked<Revision> {
+    match r {
+        Response::Revision { revision } => Ok(revision),
+        other => Err(other),
+    }
+}
+
+fn batch(r: Response) -> Picked<Vec<ItemResult>> {
+    match r {
+        Response::Batch { items } => Ok(items),
+        other => Err(other),
+    }
+}
+
+fn revisions(r: Response) -> Picked<Vec<(StoreId, Revision)>> {
+    match r {
+        Response::Revisions { revisions } => Ok(revisions),
+        other => Err(other),
+    }
+}
+
+fn seq(r: Response) -> Picked<u64> {
+    match r {
+        Response::Seq { seq } => Ok(seq),
+        other => Err(other),
+    }
+}
+
+/// Everything a client can do against a data exchange, typed. Blanket
+/// implemented for every [`Exchange`]; nothing implements it by hand.
+pub trait ExchangeApi: Exchange {
+    /// Round-trip a ping (health check / latency probe).
+    fn ping(&self) -> BoxFuture<'_, Result<()>> {
+        reply(self.call(Request::Ping), |r| match r {
+            Response::Pong => Ok(()),
+            other => Err(other),
+        })
+    }
+
     // ---- object exchange ---------------------------------------------------
-    fn create_store(&self, store: StoreId, profile: ProfileSpec) -> BoxFuture<'_, Result<()>>;
+    fn create_store(&self, store: StoreId, profile: ProfileSpec) -> BoxFuture<'_, Result<()>> {
+        reply(self.call(Request::CreateStore { store, profile }), ok)
+    }
+
     fn create(
         &self,
         store: StoreId,
         key: ObjectKey,
         value: Value,
-    ) -> BoxFuture<'_, Result<Revision>>;
-    fn get(&self, store: StoreId, key: ObjectKey) -> BoxFuture<'_, Result<StoredObject>>;
-    fn list(&self, store: StoreId) -> BoxFuture<'_, Result<(Vec<StoredObject>, Revision)>>;
+    ) -> BoxFuture<'_, Result<Revision>> {
+        reply(self.call(Request::Create { store, key, value }), revision)
+    }
+
+    fn get(&self, store: StoreId, key: ObjectKey) -> BoxFuture<'_, Result<StoredObject>> {
+        reply(self.call(Request::Get { store, key }), |r| match r {
+            Response::Object { object } => Ok(object),
+            other => Err(other),
+        })
+    }
+
+    fn list(&self, store: StoreId) -> BoxFuture<'_, Result<(Vec<StoredObject>, Revision)>> {
+        reply(self.call(Request::List { store }), |r| match r {
+            Response::Objects { objects, revision } => Ok((objects, revision)),
+            other => Err(other),
+        })
+    }
+
     fn update(
         &self,
         store: StoreId,
         key: ObjectKey,
         value: Value,
         expected: Option<Revision>,
-    ) -> BoxFuture<'_, Result<Revision>>;
+    ) -> BoxFuture<'_, Result<Revision>> {
+        let request = Request::Update {
+            store,
+            key,
+            value,
+            expected,
+        };
+        reply(self.call(request), revision)
+    }
+
     fn patch(
         &self,
         store: StoreId,
         key: ObjectKey,
         patch: Value,
         upsert: bool,
-    ) -> BoxFuture<'_, Result<Revision>>;
-    fn delete(&self, store: StoreId, key: ObjectKey) -> BoxFuture<'_, Result<Revision>>;
+    ) -> BoxFuture<'_, Result<Revision>> {
+        let request = Request::Patch {
+            store,
+            key,
+            patch,
+            upsert,
+        };
+        reply(self.call(request), revision)
+    }
+
+    fn delete(&self, store: StoreId, key: ObjectKey) -> BoxFuture<'_, Result<Revision>> {
+        reply(self.call(Request::Delete { store, key }), revision)
+    }
 
     // ---- batched object ops --------------------------------------------------
-    // Default bodies fall back to looping the single ops, so every
-    // implementation keeps the same per-item semantics; real transports
-    // override these to collapse N items into one round-trip (and, server
-    // side, one WAL group fsync).
+    // N items, one round-trip, one WAL group fsync; per-item outcomes.
 
     /// Read many keys; one [`ItemResult`] per key, in request order.
     fn batch_get(
@@ -64,13 +205,7 @@ pub trait ExchangeApi: Send + Sync {
         store: StoreId,
         keys: Vec<ObjectKey>,
     ) -> BoxFuture<'_, Result<Vec<ItemResult>>> {
-        Box::pin(async move {
-            let mut items = Vec::with_capacity(keys.len());
-            for key in keys {
-                items.push(ItemResult::from_object(self.get(store.clone(), key).await));
-            }
-            Ok(items)
-        })
+        reply(self.call(Request::BatchGet { store, keys }), batch)
     }
 
     /// Batched merge-writes (patch/upsert per item).
@@ -79,7 +214,7 @@ pub trait ExchangeApi: Send + Sync {
         store: StoreId,
         items: Vec<PutItem>,
     ) -> BoxFuture<'_, Result<Vec<ItemResult>>> {
-        self.batch_commit(store, items.into_iter().map(BatchOp::from).collect())
+        reply(self.call(Request::BatchPut { store, items }), batch)
     }
 
     /// Batched mutations with per-item OCC and per-item outcomes.
@@ -88,25 +223,7 @@ pub trait ExchangeApi: Send + Sync {
         store: StoreId,
         ops: Vec<BatchOp>,
     ) -> BoxFuture<'_, Result<Vec<ItemResult>>> {
-        Box::pin(async move {
-            let mut items = Vec::with_capacity(ops.len());
-            for op in ops {
-                let result = match op {
-                    BatchOp::Create { key, value } => self.create(store.clone(), key, value).await,
-                    BatchOp::Update {
-                        key,
-                        value,
-                        expected,
-                    } => self.update(store.clone(), key, value, expected).await,
-                    BatchOp::Patch { key, patch, upsert } => {
-                        self.patch(store.clone(), key, patch, upsert).await
-                    }
-                    BatchOp::Delete { key } => self.delete(store.clone(), key).await,
-                };
-                items.push(ItemResult::from_revision(result));
-            }
-            Ok(items)
-        })
+        reply(self.call(Request::BatchCommit { store, ops }), batch)
     }
 
     fn register_consumer(
@@ -114,50 +231,174 @@ pub trait ExchangeApi: Send + Sync {
         store: StoreId,
         key: ObjectKey,
         consumer: String,
-    ) -> BoxFuture<'_, Result<()>>;
+    ) -> BoxFuture<'_, Result<()>> {
+        let request = Request::RegisterConsumer {
+            store,
+            key,
+            consumer,
+        };
+        reply(self.call(request), ok)
+    }
+
     fn mark_processed(
         &self,
         store: StoreId,
         key: ObjectKey,
         consumer: String,
-    ) -> BoxFuture<'_, Result<Vec<ObjectKey>>>;
+    ) -> BoxFuture<'_, Result<Vec<ObjectKey>>> {
+        let request = Request::MarkProcessed {
+            store,
+            key,
+            consumer,
+        };
+        reply(self.call(request), |r| match r {
+            Response::Collected { keys } => Ok(keys),
+            other => Err(other),
+        })
+    }
+
     /// Watch events with revision greater than `from`.
-    fn watch(&self, store: StoreId, from: Revision) -> BoxFuture<'_, Result<WatchRx>>;
-    fn register_schema(&self, schema: Schema) -> BoxFuture<'_, Result<()>>;
-    fn bind_schema(&self, store: StoreId, schema: SchemaName) -> BoxFuture<'_, Result<()>>;
-    fn get_schema(&self, schema: SchemaName) -> BoxFuture<'_, Result<Schema>>;
+    fn watch(&self, store: StoreId, from: Revision) -> BoxFuture<'_, Result<WatchRx>> {
+        self.open_watch(Request::Watch { store, from })
+    }
+
+    fn register_schema(&self, schema: Schema) -> BoxFuture<'_, Result<()>> {
+        reply(self.call(Request::RegisterSchema { schema }), ok)
+    }
+
+    fn bind_schema(&self, store: StoreId, schema: SchemaName) -> BoxFuture<'_, Result<()>> {
+        reply(self.call(Request::BindSchema { store, schema }), ok)
+    }
+
+    fn get_schema(&self, schema: SchemaName) -> BoxFuture<'_, Result<Schema>> {
+        reply(self.call(Request::GetSchema { schema }), |r| match r {
+            Response::Schema { schema } => Ok(schema),
+            other => Err(other),
+        })
+    }
+
     fn register_udf(
         &self,
         name: String,
         inputs: Vec<String>,
         assignments: Vec<UdfAssignment>,
-    ) -> BoxFuture<'_, Result<()>>;
+    ) -> BoxFuture<'_, Result<()>> {
+        let request = Request::RegisterUdf {
+            name,
+            inputs,
+            assignments,
+        };
+        reply(self.call(request), ok)
+    }
+
     fn execute_udf(
         &self,
         name: String,
         bindings: Vec<UdfBinding>,
-    ) -> BoxFuture<'_, Result<Vec<(StoreId, Revision)>>>;
+    ) -> BoxFuture<'_, Result<Vec<(StoreId, Revision)>>> {
+        reply(self.call(Request::ExecuteUdf { name, bindings }), revisions)
+    }
+
     /// Apply a set of patches across stores atomically: either every
     /// precondition holds and every write commits, or nothing does.
-    fn transact(&self, ops: Vec<TxOp>) -> BoxFuture<'_, Result<Vec<(StoreId, Revision)>>>;
+    fn transact(&self, ops: Vec<TxOp>) -> BoxFuture<'_, Result<Vec<(StoreId, Revision)>>> {
+        reply(self.call(Request::Transact { ops }), revisions)
+    }
 
     // ---- log exchange --------------------------------------------------------
-    fn log_create_store(&self, store: StoreId) -> BoxFuture<'_, Result<()>>;
-    fn log_append(&self, store: StoreId, fields: Value) -> BoxFuture<'_, Result<u64>>;
-    fn log_append_batch(&self, store: StoreId, batch: Vec<Value>) -> BoxFuture<'_, Result<u64>>;
-    fn log_read(&self, store: StoreId, from: u64) -> BoxFuture<'_, Result<Vec<LogRecord>>>;
-    fn log_query(&self, store: StoreId, query: QuerySpec) -> BoxFuture<'_, Result<Vec<Value>>>;
-    fn log_tail(&self, store: StoreId, from: u64) -> BoxFuture<'_, Result<TailRx>>;
+    fn log_create_store(&self, store: StoreId) -> BoxFuture<'_, Result<()>> {
+        reply(self.call(Request::LogCreateStore { store }), ok)
+    }
 
-    // ---- observability -------------------------------------------------------
-    /// Scrape the exchange's metrics registry. Default-bodied so existing
-    /// implementations keep compiling; transports that can reach a
-    /// registry (TCP, loopback, fault decorators) override it.
-    fn metrics(&self) -> BoxFuture<'_, Result<knactor_types::metrics::MetricsSnapshot>> {
-        Box::pin(async {
-            Err(knactor_types::Error::Transport(
-                "metrics not supported by this transport".to_string(),
-            ))
+    fn log_append(&self, store: StoreId, fields: Value) -> BoxFuture<'_, Result<u64>> {
+        reply(self.call(Request::LogAppend { store, fields }), seq)
+    }
+
+    fn log_append_batch(&self, store: StoreId, batch: Vec<Value>) -> BoxFuture<'_, Result<u64>> {
+        reply(self.call(Request::LogAppendBatch { store, batch }), seq)
+    }
+
+    fn log_read(&self, store: StoreId, from: u64) -> BoxFuture<'_, Result<Vec<LogRecord>>> {
+        reply(self.call(Request::LogRead { store, from }), |r| match r {
+            Response::Records { records } => Ok(records),
+            other => Err(other),
         })
     }
+
+    fn log_query(&self, store: StoreId, query: QuerySpec) -> BoxFuture<'_, Result<Vec<Value>>> {
+        reply(self.call(Request::LogQuery { store, query }), |r| match r {
+            Response::Rows { rows } => Ok(rows),
+            other => Err(other),
+        })
+    }
+
+    fn log_tail(&self, store: StoreId, from: u64) -> BoxFuture<'_, Result<TailRx>> {
+        self.open_tail(Request::LogTail { store, from })
+    }
+
+    // ---- observability -------------------------------------------------------
+    /// Scrape the exchange's metrics registry.
+    fn metrics(&self) -> BoxFuture<'_, Result<MetricsSnapshot>> {
+        reply(self.call(Request::Metrics), |r| match r {
+            Response::Metrics { snapshot } => Ok(snapshot),
+            other => Err(other),
+        })
+    }
+
+    // ---- replication control plane -------------------------------------------
+    // Node-to-node and router-to-node operations, not composition surface.
+
+    /// Subscribe to a store's replication stream: every committed event
+    /// with revision > `from`, in order, as a raw watch stream.
+    fn repl_subscribe(&self, store: StoreId, from: Revision) -> BoxFuture<'_, Result<WatchRx>> {
+        self.open_watch(Request::ReplSubscribe { store, from })
+    }
+
+    /// Report a follower's durably-staged high-water mark to the leader.
+    fn repl_ack(
+        &self,
+        store: StoreId,
+        follower: String,
+        revision: Revision,
+    ) -> BoxFuture<'_, Result<()>> {
+        let request = Request::ReplAck {
+            store,
+            follower,
+            revision,
+        };
+        reply(self.call(request), ok)
+    }
+
+    /// Probe the node's replication role, epoch, and per-store progress.
+    fn repl_status(&self) -> BoxFuture<'_, Result<ReplStatusInfo>> {
+        reply(self.call(Request::ReplStatus), |r| match r {
+            Response::ReplStatus {
+                leader,
+                epoch,
+                applied,
+            } => Ok(ReplStatusInfo {
+                leader,
+                epoch,
+                applied,
+            }),
+            other => Err(other),
+        })
+    }
+
+    /// Promote the node to leader at `epoch` (must exceed its current
+    /// epoch — the stale-leader fence).
+    fn repl_promote(&self, epoch: u64) -> BoxFuture<'_, Result<()>> {
+        reply(self.call(Request::ReplPromote { epoch }), ok)
+    }
+
+    /// Block until the node's copy of `store` has applied at least
+    /// `revision` (read-your-writes barrier before a replica read).
+    fn repl_wait(&self, store: StoreId, revision: Revision) -> BoxFuture<'_, Result<Revision>> {
+        reply(
+            self.call(Request::ReplWait { store, revision }),
+            self::revision,
+        )
+    }
 }
+
+impl<T: Exchange + ?Sized> ExchangeApi for T {}

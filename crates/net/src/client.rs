@@ -14,24 +14,21 @@
 //!   with jitter ([`RetryPolicy`]), idempotent retry recovery keyed by OCC
 //!   revisions, and watch/tail **resume**: a subscription survives the
 //!   connection it was created on, deduplicating replayed events and
-//!   detecting revision gaps (see [`ResilientClient::watch`]).
+//!   detecting revision gaps (see [`ResilientClient`]).
 
-use crate::api::{BoxFuture, ExchangeApi, TailRx, WatchRx};
+use crate::api::{misrouted, BoxFuture, Exchange, ExchangeApi, TailRx, WatchRx};
 use crate::fault::FaultRng;
 use crate::frame::{FrameReader, FrameWriter};
 use crate::proto::{
-    decode, encode, encode_into, EventBody, Hello, ProfileSpec, QuerySpec, Request,
-    RequestEnvelope, Response, ServerMsg,
+    decode, encode, encode_into, EventBody, Hello, Request, RequestEnvelope, Response, ServerMsg,
 };
-use knactor_logstore::{LogRecord, TailEvent};
+use knactor_logstore::TailEvent;
 use knactor_rbac::{Subject, SubjectKind};
-use knactor_store::udf::UdfAssignment;
-use knactor_store::{
-    BatchOp, EventKind, ItemResult, PutItem, StoredObject, TxOp, UdfBinding, WatchEvent,
-};
-use knactor_types::{Error, ObjectKey, Result, Revision, Schema, SchemaName, StoreId, Value};
+use knactor_store::{BatchOp, EventKind, ItemResult, StoredObject, WatchEvent};
+use knactor_types::{Error, ObjectKey, Result, Revision, StoreId, Value};
 use parking_lot::Mutex;
 use std::collections::{BTreeSet, HashMap};
+use std::future::Future;
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -243,10 +240,6 @@ impl TcpClient {
         &self.subject
     }
 
-    async fn request(&self, body: Request) -> Result<Response> {
-        self.request_staged(body, None).await
-    }
-
     async fn request_staged(&self, body: Request, staged: Option<StagedSub>) -> Result<Response> {
         if let Some(rtt) = self.latency {
             knactor_store::profile::precise_sleep(rtt).await;
@@ -293,116 +286,14 @@ impl TcpClient {
         response.into_result()
     }
 
-    /// Round-trip a ping (health check / latency probe).
-    pub async fn ping(&self) -> Result<()> {
-        match self.request(Request::Ping).await? {
-            Response::Pong => Ok(()),
-            other => Err(unexpected(other)),
+    /// Open a subscription: `staged` is installed by the demultiplexer when
+    /// the `Watch { sub_id }` reply arrives.
+    async fn subscribe(&self, request: Request, staged: StagedSub) -> Result<()> {
+        match self.request_staged(request, Some(staged)).await? {
+            Response::Watch { .. } => Ok(()),
+            other => Err(Error::Transport(format!("unexpected response {other:?}"))),
         }
     }
-
-    // ---- replication control plane ------------------------------------------
-    // Not part of `ExchangeApi`: these are node-to-node (and router-to-
-    // node) operations, not composition surface.
-
-    /// Subscribe to a store's replication stream: every committed event
-    /// with revision > `from`, in order, as a raw watch stream.
-    pub async fn repl_subscribe(&self, store: StoreId, from: Revision) -> Result<WatchRx> {
-        let (tx, rx) = mpsc::unbounded_channel();
-        match self
-            .request_staged(
-                Request::ReplSubscribe { store, from },
-                Some(StagedSub::Object(tx)),
-            )
-            .await?
-        {
-            Response::Watch { .. } => Ok(rx),
-            other => Err(unexpected(other)),
-        }
-    }
-
-    /// Report this follower's durably-staged high-water mark to the leader.
-    pub async fn repl_ack(
-        &self,
-        store: StoreId,
-        follower: String,
-        revision: Revision,
-    ) -> Result<()> {
-        match self
-            .request(Request::ReplAck {
-                store,
-                follower,
-                revision,
-            })
-            .await?
-        {
-            Response::Ok => Ok(()),
-            other => Err(unexpected(other)),
-        }
-    }
-
-    /// Probe the node's replication role, epoch, and per-store progress.
-    pub async fn repl_status(&self) -> Result<ReplStatusInfo> {
-        match self.request(Request::ReplStatus).await? {
-            Response::ReplStatus {
-                leader,
-                epoch,
-                applied,
-            } => Ok(ReplStatusInfo {
-                leader,
-                epoch,
-                applied,
-            }),
-            other => Err(unexpected(other)),
-        }
-    }
-
-    /// Promote the node to leader at `epoch` (must exceed its current
-    /// epoch — the stale-leader fence).
-    pub async fn repl_promote(&self, epoch: u64) -> Result<()> {
-        match self.request(Request::ReplPromote { epoch }).await? {
-            Response::Ok => Ok(()),
-            other => Err(unexpected(other)),
-        }
-    }
-
-    /// Block until the node's copy of `store` has applied at least
-    /// `revision` (read-your-writes barrier before a replica read).
-    pub async fn repl_wait(&self, store: StoreId, revision: Revision) -> Result<Revision> {
-        match self.request(Request::ReplWait { store, revision }).await? {
-            Response::Revision { revision } => Ok(revision),
-            other => Err(unexpected(other)),
-        }
-    }
-}
-
-/// One node's answer to [`TcpClient::repl_status`].
-#[derive(Debug, Clone)]
-pub struct ReplStatusInfo {
-    pub leader: bool,
-    pub epoch: u64,
-    /// Per-store applied revisions (replication progress).
-    pub applied: Vec<(StoreId, Revision)>,
-}
-
-impl ReplStatusInfo {
-    /// Total applied revisions across stores — the "how caught up is
-    /// this node" scalar that failover elections compare.
-    pub fn total_applied(&self) -> u64 {
-        self.applied.iter().map(|(_, r)| r.0).sum()
-    }
-
-    pub fn applied_for(&self, store: &StoreId) -> Revision {
-        self.applied
-            .iter()
-            .find(|(s, _)| s == store)
-            .map(|(_, r)| *r)
-            .unwrap_or(Revision::ZERO)
-    }
-}
-
-fn unexpected(r: Response) -> Error {
-    Error::Transport(format!("unexpected response {r:?}"))
 }
 
 /// Route one pushed event body to its subscription channel, dropping the
@@ -461,340 +352,38 @@ fn deliver_event(router: &mut Router, sub_id: u64, body: EventBody) {
     }
 }
 
-impl ExchangeApi for TcpClient {
-    fn create_store(&self, store: StoreId, profile: ProfileSpec) -> BoxFuture<'_, Result<()>> {
-        Box::pin(async move {
-            match self
-                .request(Request::CreateStore { store, profile })
-                .await?
-            {
-                Response::Ok => Ok(()),
-                other => Err(unexpected(other)),
-            }
-        })
+impl Exchange for TcpClient {
+    fn call(&self, request: Request) -> BoxFuture<'_, Result<Response>> {
+        // A stream request sent as a call would open a server-side
+        // subscription nothing here is wired to receive.
+        if request.is_stream() {
+            return Box::pin(async move { Err(misrouted(&request, "call")) });
+        }
+        Box::pin(self.request_staged(request, None))
     }
 
-    fn create(
-        &self,
-        store: StoreId,
-        key: ObjectKey,
-        value: Value,
-    ) -> BoxFuture<'_, Result<Revision>> {
+    fn open_watch(&self, request: Request) -> BoxFuture<'_, Result<WatchRx>> {
         Box::pin(async move {
-            match self.request(Request::Create { store, key, value }).await? {
-                Response::Revision { revision } => Ok(revision),
-                other => Err(unexpected(other)),
+            if !matches!(
+                request,
+                Request::Watch { .. } | Request::ReplSubscribe { .. }
+            ) {
+                return Err(misrouted(&request, "open_watch"));
             }
-        })
-    }
-
-    fn get(&self, store: StoreId, key: ObjectKey) -> BoxFuture<'_, Result<StoredObject>> {
-        Box::pin(async move {
-            match self.request(Request::Get { store, key }).await? {
-                Response::Object { object } => Ok(object),
-                other => Err(unexpected(other)),
-            }
-        })
-    }
-
-    fn list(&self, store: StoreId) -> BoxFuture<'_, Result<(Vec<StoredObject>, Revision)>> {
-        Box::pin(async move {
-            match self.request(Request::List { store }).await? {
-                Response::Objects { objects, revision } => Ok((objects, revision)),
-                other => Err(unexpected(other)),
-            }
-        })
-    }
-
-    fn update(
-        &self,
-        store: StoreId,
-        key: ObjectKey,
-        value: Value,
-        expected: Option<Revision>,
-    ) -> BoxFuture<'_, Result<Revision>> {
-        Box::pin(async move {
-            match self
-                .request(Request::Update {
-                    store,
-                    key,
-                    value,
-                    expected,
-                })
-                .await?
-            {
-                Response::Revision { revision } => Ok(revision),
-                other => Err(unexpected(other)),
-            }
-        })
-    }
-
-    fn patch(
-        &self,
-        store: StoreId,
-        key: ObjectKey,
-        patch: Value,
-        upsert: bool,
-    ) -> BoxFuture<'_, Result<Revision>> {
-        Box::pin(async move {
-            match self
-                .request(Request::Patch {
-                    store,
-                    key,
-                    patch,
-                    upsert,
-                })
-                .await?
-            {
-                Response::Revision { revision } => Ok(revision),
-                other => Err(unexpected(other)),
-            }
-        })
-    }
-
-    fn delete(&self, store: StoreId, key: ObjectKey) -> BoxFuture<'_, Result<Revision>> {
-        Box::pin(async move {
-            match self.request(Request::Delete { store, key }).await? {
-                Response::Revision { revision } => Ok(revision),
-                other => Err(unexpected(other)),
-            }
-        })
-    }
-
-    fn batch_get(
-        &self,
-        store: StoreId,
-        keys: Vec<ObjectKey>,
-    ) -> BoxFuture<'_, Result<Vec<ItemResult>>> {
-        Box::pin(async move {
-            match self.request(Request::BatchGet { store, keys }).await? {
-                Response::Batch { items } => Ok(items),
-                other => Err(unexpected(other)),
-            }
-        })
-    }
-
-    fn batch_put(
-        &self,
-        store: StoreId,
-        items: Vec<PutItem>,
-    ) -> BoxFuture<'_, Result<Vec<ItemResult>>> {
-        Box::pin(async move {
-            match self.request(Request::BatchPut { store, items }).await? {
-                Response::Batch { items } => Ok(items),
-                other => Err(unexpected(other)),
-            }
-        })
-    }
-
-    fn batch_commit(
-        &self,
-        store: StoreId,
-        ops: Vec<BatchOp>,
-    ) -> BoxFuture<'_, Result<Vec<ItemResult>>> {
-        Box::pin(async move {
-            match self.request(Request::BatchCommit { store, ops }).await? {
-                Response::Batch { items } => Ok(items),
-                other => Err(unexpected(other)),
-            }
-        })
-    }
-
-    fn register_consumer(
-        &self,
-        store: StoreId,
-        key: ObjectKey,
-        consumer: String,
-    ) -> BoxFuture<'_, Result<()>> {
-        Box::pin(async move {
-            match self
-                .request(Request::RegisterConsumer {
-                    store,
-                    key,
-                    consumer,
-                })
-                .await?
-            {
-                Response::Ok => Ok(()),
-                other => Err(unexpected(other)),
-            }
-        })
-    }
-
-    fn mark_processed(
-        &self,
-        store: StoreId,
-        key: ObjectKey,
-        consumer: String,
-    ) -> BoxFuture<'_, Result<Vec<ObjectKey>>> {
-        Box::pin(async move {
-            match self
-                .request(Request::MarkProcessed {
-                    store,
-                    key,
-                    consumer,
-                })
-                .await?
-            {
-                Response::Collected { keys } => Ok(keys),
-                other => Err(unexpected(other)),
-            }
-        })
-    }
-
-    fn watch(&self, store: StoreId, from: Revision) -> BoxFuture<'_, Result<WatchRx>> {
-        Box::pin(async move {
             let (tx, rx) = mpsc::unbounded_channel();
-            match self
-                .request_staged(Request::Watch { store, from }, Some(StagedSub::Object(tx)))
-                .await?
-            {
-                Response::Watch { .. } => Ok(rx),
-                other => Err(unexpected(other)),
-            }
+            self.subscribe(request, StagedSub::Object(tx)).await?;
+            Ok(rx)
         })
     }
 
-    fn register_schema(&self, schema: Schema) -> BoxFuture<'_, Result<()>> {
+    fn open_tail(&self, request: Request) -> BoxFuture<'_, Result<TailRx>> {
         Box::pin(async move {
-            match self.request(Request::RegisterSchema { schema }).await? {
-                Response::Ok => Ok(()),
-                other => Err(unexpected(other)),
+            if !matches!(request, Request::LogTail { .. }) {
+                return Err(misrouted(&request, "open_tail"));
             }
-        })
-    }
-
-    fn bind_schema(&self, store: StoreId, schema: SchemaName) -> BoxFuture<'_, Result<()>> {
-        Box::pin(async move {
-            match self.request(Request::BindSchema { store, schema }).await? {
-                Response::Ok => Ok(()),
-                other => Err(unexpected(other)),
-            }
-        })
-    }
-
-    fn get_schema(&self, schema: SchemaName) -> BoxFuture<'_, Result<Schema>> {
-        Box::pin(async move {
-            match self.request(Request::GetSchema { schema }).await? {
-                Response::Schema { schema } => Ok(schema),
-                other => Err(unexpected(other)),
-            }
-        })
-    }
-
-    fn register_udf(
-        &self,
-        name: String,
-        inputs: Vec<String>,
-        assignments: Vec<UdfAssignment>,
-    ) -> BoxFuture<'_, Result<()>> {
-        Box::pin(async move {
-            match self
-                .request(Request::RegisterUdf {
-                    name,
-                    inputs,
-                    assignments,
-                })
-                .await?
-            {
-                Response::Ok => Ok(()),
-                other => Err(unexpected(other)),
-            }
-        })
-    }
-
-    fn execute_udf(
-        &self,
-        name: String,
-        bindings: Vec<UdfBinding>,
-    ) -> BoxFuture<'_, Result<Vec<(StoreId, Revision)>>> {
-        Box::pin(async move {
-            match self.request(Request::ExecuteUdf { name, bindings }).await? {
-                Response::Revisions { revisions } => Ok(revisions),
-                other => Err(unexpected(other)),
-            }
-        })
-    }
-
-    fn transact(&self, ops: Vec<TxOp>) -> BoxFuture<'_, Result<Vec<(StoreId, Revision)>>> {
-        Box::pin(async move {
-            match self.request(Request::Transact { ops }).await? {
-                Response::Revisions { revisions } => Ok(revisions),
-                other => Err(unexpected(other)),
-            }
-        })
-    }
-
-    fn log_create_store(&self, store: StoreId) -> BoxFuture<'_, Result<()>> {
-        Box::pin(async move {
-            match self.request(Request::LogCreateStore { store }).await? {
-                Response::Ok => Ok(()),
-                other => Err(unexpected(other)),
-            }
-        })
-    }
-
-    fn log_append(&self, store: StoreId, fields: Value) -> BoxFuture<'_, Result<u64>> {
-        Box::pin(async move {
-            match self.request(Request::LogAppend { store, fields }).await? {
-                Response::Seq { seq } => Ok(seq),
-                other => Err(unexpected(other)),
-            }
-        })
-    }
-
-    fn log_append_batch(&self, store: StoreId, batch: Vec<Value>) -> BoxFuture<'_, Result<u64>> {
-        Box::pin(async move {
-            match self
-                .request(Request::LogAppendBatch { store, batch })
-                .await?
-            {
-                Response::Seq { seq } => Ok(seq),
-                other => Err(unexpected(other)),
-            }
-        })
-    }
-
-    fn log_read(&self, store: StoreId, from: u64) -> BoxFuture<'_, Result<Vec<LogRecord>>> {
-        Box::pin(async move {
-            match self.request(Request::LogRead { store, from }).await? {
-                Response::Records { records } => Ok(records),
-                other => Err(unexpected(other)),
-            }
-        })
-    }
-
-    fn log_query(&self, store: StoreId, query: QuerySpec) -> BoxFuture<'_, Result<Vec<Value>>> {
-        Box::pin(async move {
-            match self.request(Request::LogQuery { store, query }).await? {
-                Response::Rows { rows } => Ok(rows),
-                other => Err(unexpected(other)),
-            }
-        })
-    }
-
-    fn log_tail(&self, store: StoreId, from: u64) -> BoxFuture<'_, Result<TailRx>> {
-        Box::pin(async move {
             let (tx, rx) = mpsc::unbounded_channel();
-            match self
-                .request_staged(
-                    Request::LogTail { store, from },
-                    Some(StagedSub::Record(tx)),
-                )
-                .await?
-            {
-                Response::Watch { .. } => Ok(TailRx::from_channel(rx)),
-                other => Err(unexpected(other)),
-            }
-        })
-    }
-
-    fn metrics(&self) -> BoxFuture<'_, Result<knactor_types::metrics::MetricsSnapshot>> {
-        Box::pin(async move {
-            match self.request(Request::Metrics).await? {
-                Response::Metrics { snapshot } => Ok(snapshot),
-                other => Err(unexpected(other)),
-            }
+            self.subscribe(request, StagedSub::Record(tx)).await?;
+            Ok(TailRx::from_channel(rx))
         })
     }
 }
@@ -867,16 +456,6 @@ struct Resilient {
     rng: Mutex<FaultRng>,
 }
 
-/// Identity-coercion helper: gives the compiler the higher-ranked `Fn`
-/// signature retry closures must satisfy (a bare closure literal often
-/// fails to generalize over the connection lifetime on its own).
-fn op_fn<T, F>(f: F) -> F
-where
-    F: for<'c> Fn(&'c TcpClient, u32) -> BoxFuture<'c, Result<T>>,
-{
-    f
-}
-
 impl Resilient {
     /// Current live connection, (re)establishing one if needed. Losing a
     /// reconnect race is harmless: whoever installs a live client last
@@ -910,14 +489,14 @@ impl Resilient {
     /// (`Overloaded` — shed before dispatch, so a retry is always safe; the
     /// next backoff is floored at the server's `retry_after_ms` hint).
     /// Semantic errors (`Conflict`, `AlreadyExists`, `NotFound`, ...)
-    /// propagate immediately; per-op recovery for those lives in the
-    /// individual `ExchangeApi` methods, because only they know the
-    /// idempotency key. `op` receives the 0-based attempt number:
+    /// propagate immediately; recovering the ones a lost ack explains is
+    /// [`recover_lost_ack`]'s job. `op` receives the 0-based attempt number:
     /// `attempt > 0` means an earlier attempt may have executed without us
     /// seeing its reply.
-    async fn retry<T, F>(&self, op: F) -> Result<T>
+    async fn retry<T, F, Fut>(&self, op: F) -> Result<T>
     where
-        F: for<'c> Fn(&'c TcpClient, u32) -> BoxFuture<'c, Result<T>>,
+        F: Fn(Arc<TcpClient>, u32) -> Fut + Send + Sync,
+        Fut: Future<Output = Result<T>> + Send,
     {
         let mut last: Option<Error> = None;
         let mut floor = Duration::ZERO;
@@ -940,7 +519,7 @@ impl Resilient {
                     continue;
                 }
             };
-            match op(&client, attempt).await {
+            match op(client, attempt).await {
                 Ok(value) => return Ok(value),
                 Err(e @ (Error::Transport(_) | Error::Timeout(_))) => last = Some(e),
                 Err(Error::Overloaded { retry_after_ms }) => {
@@ -1029,37 +608,6 @@ impl ResilientClient {
     pub fn addr(&self) -> SocketAddr {
         self.inner.addr
     }
-
-    /// [`TcpClient::repl_status`] with reconnect + transport retry.
-    pub async fn repl_status(&self) -> Result<ReplStatusInfo> {
-        self.inner
-            .retry(op_fn(move |c, _| {
-                Box::pin(async move { c.repl_status().await })
-            }))
-            .await
-    }
-
-    /// [`TcpClient::repl_wait`] with reconnect + transport retry. Safe to
-    /// retry blindly: the barrier is a read, not a mutation.
-    pub async fn repl_wait(&self, store: StoreId, revision: Revision) -> Result<Revision> {
-        self.inner
-            .retry(op_fn(move |c, _| {
-                let store = store.clone();
-                Box::pin(async move { c.repl_wait(store, revision).await })
-            }))
-            .await
-    }
-
-    /// [`TcpClient::repl_promote`] with reconnect + transport retry.
-    /// Idempotent under the epoch fence: a duplicate promote at the same
-    /// epoch surfaces `Conflict`, which callers treat as already done.
-    pub async fn repl_promote(&self, epoch: u64) -> Result<()> {
-        self.inner
-            .retry(op_fn(move |c, _| {
-                Box::pin(async move { c.repl_promote(epoch).await })
-            }))
-            .await
-    }
 }
 
 impl Resilient {
@@ -1076,13 +624,13 @@ impl Resilient {
         loop {
             let from = state.last_seen;
             match self
-                .retry(op_fn(move |c, _| Box::pin(c.watch(store.clone(), from))))
+                .retry(|c, _| async move { c.watch(store.clone(), from).await })
                 .await
             {
                 Ok(sub) => return Ok(sub),
                 Err(Error::WatchTooOld { .. }) => {
                     let (objects, revision) = self
-                        .retry(op_fn(move |c, _| Box::pin(c.list(store.clone()))))
+                        .retry(|c, _| async move { c.list(store.clone()).await })
                         .await?;
                     emit_relist(state, objects, revision, tx)?;
                     // Loop: subscribe from the listing revision (which may
@@ -1135,6 +683,11 @@ impl Resilient {
                 Err(_) => return, // non-retryable (e.g. Forbidden): end the stream
             }
         }
+    }
+
+    async fn tail_from(&self, store: &StoreId, from: u64) -> Result<TailRx> {
+        self.retry(|c, _| async move { c.log_tail(store.clone(), from).await })
+            .await
     }
 
     /// Pump log records, resuming from the last delivered sequence number
@@ -1198,14 +751,7 @@ impl Resilient {
             if tx.is_closed() {
                 return;
             }
-            let from = last_seen;
-            let store_ref = &store;
-            match self
-                .retry(op_fn(move |c, _| {
-                    Box::pin(c.log_tail(store_ref.clone(), from))
-                }))
-                .await
-            {
+            match self.tail_from(&store, last_seen).await {
                 Ok(renewed) => {
                     sub = renewed;
                     fresh = true;
@@ -1257,284 +803,159 @@ fn emit_relist(
     Ok(())
 }
 
-impl ExchangeApi for ResilientClient {
-    fn create_store(&self, store: StoreId, profile: ProfileSpec) -> BoxFuture<'_, Result<()>> {
+/// The lost-ack contract (DESIGN.md §4.2), applied to one attempt's
+/// `outcome`. A write whose reply was lost — or whose request frame was
+/// duplicated — collides with its own earlier execution; this turns that
+/// collision back into the reply the caller never saw. `attempt` is the
+/// caller's 0-based try count: `attempt > 0` means an earlier try may
+/// have executed unseen. An `Err` in transit (`Transport`, `Timeout`,
+/// `Overloaded`) — from the attempt or from a read-back — tells the
+/// caller's retry loop to run the attempt again.
+///
+/// Everything not named here is re-sent as is: reads and barriers change
+/// nothing; a re-applied patch (`Patch`, `BatchPut`, an unconditional
+/// `Transact`) merges to an identical value the store suppresses as a
+/// no-op commit; a preconditioned `Transact` replay fails its own OCC
+/// guard; UDFs are assignment-style and converge; log appends are
+/// at-least-once (consumers treat records as events, not commands).
+pub(crate) async fn recover_lost_ack(
+    exchange: &dyn Exchange,
+    request: &Request,
+    outcome: Result<Response>,
+    attempt: u32,
+) -> Result<Response> {
+    match (request, outcome) {
+        // Even a first attempt can collide with its own duplicated
+        // execution, so no attempt guard: the store exists, which is all
+        // the caller asked for.
+        (Request::CreateStore { .. }, Err(Error::AlreadyExists(_))) => Ok(Response::Ok),
+        (Request::LogCreateStore { .. }, Err(Error::AlreadyExists(_))) if attempt > 0 => {
+            Ok(Response::Ok)
+        }
+        // The server applies each op independently, so a replayed batch
+        // collides item by item.
+        (Request::BatchCommit { store, ops }, Ok(Response::Batch { mut items })) => {
+            for (op, item) in ops.iter().zip(items.iter_mut()) {
+                let Some(error) = item.as_error() else {
+                    continue;
+                };
+                if let Ok(revision) = recover_item(exchange, store, op, error, attempt).await? {
+                    *item = ItemResult::Revision { revision };
+                }
+            }
+            Ok(Response::Batch { items })
+        }
+        // A scalar write is the batch-of-one case of the same rules.
+        (scalar, Err(error)) => match scalar_op(scalar) {
+            Some((store, op)) => recover_item(exchange, store, &op, error, attempt)
+                .await?
+                .map(|revision| Response::Revision { revision }),
+            None => Err(error),
+        },
+        (_, outcome) => outcome,
+    }
+}
+
+fn scalar_op(request: &Request) -> Option<(&StoreId, BatchOp)> {
+    let (store, op) = match request {
+        Request::Create { store, key, value } => (
+            store,
+            BatchOp::Create {
+                key: key.clone(),
+                value: value.clone(),
+            },
+        ),
+        Request::Update {
+            store,
+            key,
+            value,
+            expected,
+        } => (
+            store,
+            BatchOp::Update {
+                key: key.clone(),
+                value: value.clone(),
+                expected: *expected,
+            },
+        ),
+        Request::Delete { store, key } => (store, BatchOp::Delete { key: key.clone() }),
+        _ => return None,
+    };
+    Some((store, op))
+}
+
+/// Decide one failed item. The outer `Err` means the read-back itself
+/// failed in transit, so the item stays ambiguous and the whole attempt
+/// must re-run; the inner result is the item's final outcome.
+///
+/// * create → `AlreadyExists`: read back; the same value means the
+///   create was ours, and the object's `created_revision` is the
+///   revision the lost reply carried.
+/// * preconditioned update → `Conflict`: read back; the same value means
+///   the conflict is our own commit, at the object's `revision`.
+/// * delete → `NotFound` on a retry: already gone. The commit revision
+///   went with the lost reply, so answer the `ZERO` sentinel. There is
+///   no value left to compare, so a first-attempt `NotFound` stays an
+///   error.
+async fn recover_item(
+    exchange: &dyn Exchange,
+    store: &StoreId,
+    op: &BatchOp,
+    error: Error,
+    attempt: u32,
+) -> Result<Result<Revision>> {
+    type Pick = fn(&StoredObject) -> Revision;
+    let (key, value, pick): (&ObjectKey, &Value, Pick) = match (op, &error) {
+        (BatchOp::Create { key, value }, Error::AlreadyExists(_)) => {
+            (key, value, |o| o.created_revision)
+        }
+        (
+            BatchOp::Update {
+                key,
+                value,
+                expected: Some(_),
+            },
+            Error::Conflict { .. },
+        ) => (key, value, |o| o.revision),
+        (BatchOp::Delete { .. }, Error::NotFound(_)) if attempt > 0 => {
+            return Ok(Ok(Revision::ZERO))
+        }
+        _ => return Ok(Err(error)),
+    };
+    match exchange.get(store.clone(), key.clone()).await {
+        Ok(object) if *object.value == *value => Ok(Ok(pick(&object))),
+        Err(e @ (Error::Transport(_) | Error::Timeout(_) | Error::Overloaded { .. })) => Err(e),
+        _ => Ok(Err(error)),
+    }
+}
+
+impl Exchange for ResilientClient {
+    /// Retry with reconnect and backoff, recovering lost acks per
+    /// `recover_lost_ack` (DESIGN.md §4.2).
+    fn call(&self, request: Request) -> BoxFuture<'_, Result<Response>> {
         Box::pin(async move {
+            // Never retried: a subscription id names a stream on one
+            // connection and means nothing on its successor.
+            if matches!(request, Request::Unwatch { .. }) {
+                return self.inner.current().await?.call(request).await;
+            }
+            let request = &request;
             self.inner
-                .retry(op_fn(move |c, _| {
-                    let (store, profile) = (store.clone(), profile.clone());
-                    Box::pin(async move {
-                        match c.create_store(store, profile).await {
-                            // Idempotent under at-least-once delivery: a
-                            // lost reply (or a duplicated request frame
-                            // whose genuine reply was dropped) still
-                            // created the store; that is success. Even the
-                            // first attempt can collide with its own
-                            // duplicated execution, so no attempt guard.
-                            Err(Error::AlreadyExists(_)) => Ok(()),
-                            r => r,
-                        }
-                    })
-                }))
+                .retry(|c, attempt| async move {
+                    let outcome = c.call(request.clone()).await;
+                    recover_lost_ack(&*c, request, outcome, attempt).await
+                })
                 .await
         })
     }
 
-    fn create(
-        &self,
-        store: StoreId,
-        key: ObjectKey,
-        value: Value,
-    ) -> BoxFuture<'_, Result<Revision>> {
+    fn open_watch(&self, request: Request) -> BoxFuture<'_, Result<WatchRx>> {
         Box::pin(async move {
-            self.inner
-                .retry(op_fn(move |c, _| {
-                    let (store, key, value) = (store.clone(), key.clone(), value.clone());
-                    Box::pin(async move {
-                        match c.create(store.clone(), key.clone(), value.clone()).await {
-                            // Disambiguate: did *our* unacknowledged
-                            // execution create it? Read back and compare
-                            // the value — the OCC metadata then yields the
-                            // commit revision the lost reply carried. The
-                            // attempt count cannot gate this: a duplicated
-                            // request frame makes even the first attempt
-                            // collide with its own execution when the
-                            // genuine reply is dropped.
-                            Err(e @ Error::AlreadyExists(_)) => {
-                                let obj = c.get(store, key).await?;
-                                if *obj.value == value {
-                                    Ok(obj.created_revision)
-                                } else {
-                                    Err(e)
-                                }
-                            }
-                            r => r,
-                        }
-                    })
-                }))
-                .await
-        })
-    }
-
-    fn get(&self, store: StoreId, key: ObjectKey) -> BoxFuture<'_, Result<StoredObject>> {
-        Box::pin(async move {
-            self.inner
-                .retry(op_fn(move |c, _| {
-                    Box::pin(c.get(store.clone(), key.clone()))
-                }))
-                .await
-        })
-    }
-
-    fn list(&self, store: StoreId) -> BoxFuture<'_, Result<(Vec<StoredObject>, Revision)>> {
-        Box::pin(async move {
-            self.inner
-                .retry(op_fn(move |c, _| Box::pin(c.list(store.clone()))))
-                .await
-        })
-    }
-
-    fn update(
-        &self,
-        store: StoreId,
-        key: ObjectKey,
-        value: Value,
-        expected: Option<Revision>,
-    ) -> BoxFuture<'_, Result<Revision>> {
-        Box::pin(async move {
-            self.inner
-                .retry(op_fn(move |c, _| {
-                    let (store, key, value) = (store.clone(), key.clone(), value.clone());
-                    Box::pin(async move {
-                        match c
-                            .update(store.clone(), key.clone(), value.clone(), expected)
-                            .await
-                        {
-                            // OCC-keyed disambiguation: if the object now
-                            // holds exactly our value, the conflict is our
-                            // own unacknowledged commit (lost reply, or a
-                            // duplicated request colliding with itself).
-                            Err(e @ Error::Conflict { .. }) if expected.is_some() => {
-                                let obj = c.get(store, key).await?;
-                                if *obj.value == value {
-                                    Ok(obj.revision)
-                                } else {
-                                    Err(e)
-                                }
-                            }
-                            r => r,
-                        }
-                    })
-                }))
-                .await
-        })
-    }
-
-    fn patch(
-        &self,
-        store: StoreId,
-        key: ObjectKey,
-        patch: Value,
-        upsert: bool,
-    ) -> BoxFuture<'_, Result<Revision>> {
-        // Patch is naturally retry-safe: re-applying an already-applied
-        // patch merges to an identical value, which the store suppresses
-        // as a no-op commit and answers with the current revision.
-        Box::pin(async move {
-            self.inner
-                .retry(op_fn(move |c, _| {
-                    Box::pin(c.patch(store.clone(), key.clone(), patch.clone(), upsert))
-                }))
-                .await
-        })
-    }
-
-    fn delete(&self, store: StoreId, key: ObjectKey) -> BoxFuture<'_, Result<Revision>> {
-        Box::pin(async move {
-            self.inner
-                .retry(op_fn(move |c, attempt| {
-                    let (store, key) = (store.clone(), key.clone());
-                    Box::pin(async move {
-                        match c.delete(store, key).await {
-                            // An earlier attempt (reply lost) already
-                            // deleted it; the commit revision is gone with
-                            // that reply, so answer with the ZERO sentinel
-                            // rather than failing a delete that succeeded.
-                            // Unlike create/update there is no value left
-                            // to compare, so a first-attempt NotFound —
-                            // ambiguous only when a duplicated request
-                            // collides with itself — stays an error.
-                            Err(Error::NotFound(_)) if attempt > 0 => Ok(Revision::ZERO),
-                            r => r,
-                        }
-                    })
-                }))
-                .await
-        })
-    }
-
-    fn batch_get(
-        &self,
-        store: StoreId,
-        keys: Vec<ObjectKey>,
-    ) -> BoxFuture<'_, Result<Vec<ItemResult>>> {
-        Box::pin(async move {
-            self.inner
-                .retry(op_fn(move |c, _| {
-                    Box::pin(c.batch_get(store.clone(), keys.clone()))
-                }))
-                .await
-        })
-    }
-
-    // batch_put inherits the trait default (convert to ops, call
-    // batch_commit), so it lands on the recovering override below.
-
-    fn batch_commit(
-        &self,
-        store: StoreId,
-        ops: Vec<BatchOp>,
-    ) -> BoxFuture<'_, Result<Vec<ItemResult>>> {
-        Box::pin(async move {
-            self.inner
-                .retry(op_fn(move |c, attempt| {
-                    let (store, ops) = (store.clone(), ops.clone());
-                    Box::pin(async move {
-                        let mut items = c.batch_commit(store.clone(), ops.clone()).await?;
-                        // A replayed batch collides with its own earlier
-                        // execution *item by item* (the server applies each
-                        // op independently), so recovery mirrors the scalar
-                        // rules per item: create → AlreadyExists → read back
-                        // and value-compare; preconditioned update →
-                        // Conflict → same; delete → NotFound on a retry →
-                        // already gone, answer the ZERO sentinel.
-                        for (op, item) in ops.iter().zip(items.iter_mut()) {
-                            let Some(err) = item.as_error() else { continue };
-                            match (op, err) {
-                                (BatchOp::Create { key, value }, Error::AlreadyExists(_)) => {
-                                    // The read-back itself crosses the same
-                                    // unreliable wire; a transport failure
-                                    // here must re-run the whole attempt,
-                                    // not leave the item ambiguous.
-                                    match c.get(store.clone(), key.clone()).await {
-                                        Ok(obj) if *obj.value == *value => {
-                                            *item = ItemResult::Revision {
-                                                revision: obj.created_revision,
-                                            };
-                                        }
-                                        Ok(_) => {}
-                                        Err(e @ (Error::Transport(_) | Error::Timeout(_))) => {
-                                            return Err(e)
-                                        }
-                                        Err(_) => {}
-                                    }
-                                }
-                                (
-                                    BatchOp::Update {
-                                        key,
-                                        value,
-                                        expected: Some(_),
-                                    },
-                                    Error::Conflict { .. },
-                                ) => match c.get(store.clone(), key.clone()).await {
-                                    Ok(obj) if *obj.value == *value => {
-                                        *item = ItemResult::Revision {
-                                            revision: obj.revision,
-                                        };
-                                    }
-                                    Ok(_) => {}
-                                    Err(e @ (Error::Transport(_) | Error::Timeout(_))) => {
-                                        return Err(e)
-                                    }
-                                    Err(_) => {}
-                                },
-                                (BatchOp::Delete { .. }, Error::NotFound(_)) if attempt > 0 => {
-                                    *item = ItemResult::Revision {
-                                        revision: Revision::ZERO,
-                                    };
-                                }
-                                _ => {}
-                            }
-                        }
-                        Ok(items)
-                    })
-                }))
-                .await
-        })
-    }
-
-    fn register_consumer(
-        &self,
-        store: StoreId,
-        key: ObjectKey,
-        consumer: String,
-    ) -> BoxFuture<'_, Result<()>> {
-        Box::pin(async move {
-            self.inner
-                .retry(op_fn(move |c, _| {
-                    Box::pin(c.register_consumer(store.clone(), key.clone(), consumer.clone()))
-                }))
-                .await
-        })
-    }
-
-    fn mark_processed(
-        &self,
-        store: StoreId,
-        key: ObjectKey,
-        consumer: String,
-    ) -> BoxFuture<'_, Result<Vec<ObjectKey>>> {
-        Box::pin(async move {
-            self.inner
-                .retry(op_fn(move |c, _| {
-                    Box::pin(c.mark_processed(store.clone(), key.clone(), consumer.clone()))
-                }))
-                .await
-        })
-    }
-
-    fn watch(&self, store: StoreId, from: Revision) -> BoxFuture<'_, Result<WatchRx>> {
-        Box::pin(async move {
+            // Replication feeds resume from the follower's own applied
+            // revision, not from a client cursor: they ride raw connections.
+            let Request::Watch { store, from } = request else {
+                return Err(misrouted(&request, "ResilientClient::open_watch"));
+            };
             let (tx, rx) = mpsc::unbounded_channel();
             let mut state = WatchState {
                 last_seen: from,
@@ -1550,154 +971,157 @@ impl ExchangeApi for ResilientClient {
         })
     }
 
-    fn register_schema(&self, schema: Schema) -> BoxFuture<'_, Result<()>> {
+    fn open_tail(&self, request: Request) -> BoxFuture<'_, Result<TailRx>> {
         Box::pin(async move {
-            self.inner
-                .retry(op_fn(move |c, _| {
-                    Box::pin(c.register_schema(schema.clone()))
-                }))
-                .await
-        })
-    }
-
-    fn bind_schema(&self, store: StoreId, schema: SchemaName) -> BoxFuture<'_, Result<()>> {
-        Box::pin(async move {
-            self.inner
-                .retry(op_fn(move |c, _| {
-                    Box::pin(c.bind_schema(store.clone(), schema.clone()))
-                }))
-                .await
-        })
-    }
-
-    fn get_schema(&self, schema: SchemaName) -> BoxFuture<'_, Result<Schema>> {
-        Box::pin(async move {
-            self.inner
-                .retry(op_fn(move |c, _| Box::pin(c.get_schema(schema.clone()))))
-                .await
-        })
-    }
-
-    fn register_udf(
-        &self,
-        name: String,
-        inputs: Vec<String>,
-        assignments: Vec<UdfAssignment>,
-    ) -> BoxFuture<'_, Result<()>> {
-        Box::pin(async move {
-            self.inner
-                .retry(op_fn(move |c, _| {
-                    Box::pin(c.register_udf(name.clone(), inputs.clone(), assignments.clone()))
-                }))
-                .await
-        })
-    }
-
-    fn execute_udf(
-        &self,
-        name: String,
-        bindings: Vec<UdfBinding>,
-    ) -> BoxFuture<'_, Result<Vec<(StoreId, Revision)>>> {
-        // At-least-once: a lost reply retries the execution. UDFs are
-        // assignment-style (set fields from inputs), so re-execution
-        // converges to the same values.
-        Box::pin(async move {
-            self.inner
-                .retry(op_fn(move |c, _| {
-                    Box::pin(c.execute_udf(name.clone(), bindings.clone()))
-                }))
-                .await
-        })
-    }
-
-    fn transact(&self, ops: Vec<TxOp>) -> BoxFuture<'_, Result<Vec<(StoreId, Revision)>>> {
-        // At-least-once: preconditioned ops are protected by their OCC
-        // revisions (a replay fails with Conflict, surfaced to the
-        // caller); unconditional patches re-merge to a no-op.
-        Box::pin(async move {
-            self.inner
-                .retry(op_fn(move |c, _| Box::pin(c.transact(ops.clone()))))
-                .await
-        })
-    }
-
-    fn log_create_store(&self, store: StoreId) -> BoxFuture<'_, Result<()>> {
-        Box::pin(async move {
-            self.inner
-                .retry(op_fn(move |c, attempt| {
-                    let store = store.clone();
-                    Box::pin(async move {
-                        match c.log_create_store(store).await {
-                            Err(Error::AlreadyExists(_)) if attempt > 0 => Ok(()),
-                            r => r,
-                        }
-                    })
-                }))
-                .await
-        })
-    }
-
-    fn log_append(&self, store: StoreId, fields: Value) -> BoxFuture<'_, Result<u64>> {
-        // At-least-once: a retried append after a lost reply duplicates
-        // the record. Log consumers must treat records as events, not
-        // exactly-once commands (see DESIGN.md §"Fault model").
-        Box::pin(async move {
-            self.inner
-                .retry(op_fn(move |c, _| {
-                    Box::pin(c.log_append(store.clone(), fields.clone()))
-                }))
-                .await
-        })
-    }
-
-    fn log_append_batch(&self, store: StoreId, batch: Vec<Value>) -> BoxFuture<'_, Result<u64>> {
-        Box::pin(async move {
-            self.inner
-                .retry(op_fn(move |c, _| {
-                    Box::pin(c.log_append_batch(store.clone(), batch.clone()))
-                }))
-                .await
-        })
-    }
-
-    fn log_read(&self, store: StoreId, from: u64) -> BoxFuture<'_, Result<Vec<LogRecord>>> {
-        Box::pin(async move {
-            self.inner
-                .retry(op_fn(move |c, _| Box::pin(c.log_read(store.clone(), from))))
-                .await
-        })
-    }
-
-    fn log_query(&self, store: StoreId, query: QuerySpec) -> BoxFuture<'_, Result<Vec<Value>>> {
-        Box::pin(async move {
-            self.inner
-                .retry(op_fn(move |c, _| {
-                    Box::pin(c.log_query(store.clone(), query.clone()))
-                }))
-                .await
-        })
-    }
-
-    fn log_tail(&self, store: StoreId, from: u64) -> BoxFuture<'_, Result<TailRx>> {
-        Box::pin(async move {
-            let (tx, rx) = mpsc::unbounded_channel();
-            let first = {
-                let store = store.clone();
-                self.inner
-                    .retry(op_fn(move |c, _| Box::pin(c.log_tail(store.clone(), from))))
-                    .await?
+            let Request::LogTail { store, from } = request else {
+                return Err(misrouted(&request, "open_tail"));
             };
+            let (tx, rx) = mpsc::unbounded_channel();
+            let first = self.inner.tail_from(&store, from).await?;
             let driver = Arc::clone(&self.inner);
             tokio::spawn(driver.drive_tail(store, from, first, tx));
             Ok(TailRx::from_channel(rx))
         })
     }
+}
 
-    fn metrics(&self) -> BoxFuture<'_, Result<knactor_types::metrics::MetricsSnapshot>> {
-        Box::pin(async move {
-            self.inner
-                .retry(op_fn(move |c, _| Box::pin(c.metrics())))
-                .await
-        })
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use serde_json::json;
+
+    /// An exchange that answers every read-back `Get` with a canned reply.
+    struct ReadBack(Result<StoredObject>);
+
+    impl Exchange for ReadBack {
+        fn call(&self, request: Request) -> BoxFuture<'_, Result<Response>> {
+            assert!(matches!(request, Request::Get { .. }), "{request:?}");
+            let reply = self.0.clone().map(|object| Response::Object { object });
+            Box::pin(async move { reply })
+        }
+        fn open_watch(&self, _: Request) -> BoxFuture<'_, Result<WatchRx>> {
+            unreachable!("recovery opens no streams")
+        }
+        fn open_tail(&self, _: Request) -> BoxFuture<'_, Result<TailRx>> {
+            unreachable!("recovery opens no streams")
+        }
+    }
+
+    /// What recovery should make of the collision.
+    #[derive(Debug, Clone, PartialEq)]
+    enum Want {
+        Recovered(Revision),
+        /// The collision was somebody else's write: the error stands.
+        Stands,
+        /// The read-back was lost in transit: run the attempt again.
+        Rerun,
+    }
+
+    /// {create, update, delete} × {scalar, batch item} × {attempt 0, > 0}
+    /// × {value matches, differs, read-back lost}: the scalar rules are
+    /// the batch-of-one case of the per-item rules, so both forms must
+    /// reach the same verdict in every cell.
+    #[tokio::test]
+    async fn lost_ack_recovery_table() {
+        let store = StoreId::new("t/state");
+        let key = ObjectKey::new("k");
+        let ours = json!({"v": 1});
+        let held = |value: Value| {
+            let mut object = StoredObject::new(key.clone(), value, Revision(7));
+            object.created_revision = Revision(3);
+            Ok(object)
+        };
+        let read_backs = [
+            ("matches", held(ours.clone())),
+            ("differs", held(json!({"v": 2}))),
+            ("lost", Err(Error::Transport("read-back lost".into()))),
+        ];
+        let create = BatchOp::Create {
+            key: key.clone(),
+            value: ours.clone(),
+        };
+        let update = BatchOp::Update {
+            key: key.clone(),
+            value: ours.clone(),
+            expected: Some(Revision(6)),
+        };
+        let delete = BatchOp::Delete { key: key.clone() };
+        let conflict = Error::Conflict {
+            expected: 6,
+            actual: 7,
+        };
+        let cases = [
+            (create, Error::AlreadyExists("k".into())),
+            (update, conflict),
+            (delete, Error::NotFound("k".into())),
+        ];
+        for (op, collision) in &cases {
+            for attempt in [0u32, 2] {
+                for (label, read_back) in &read_backs {
+                    let want = match (op, *label, attempt) {
+                        (BatchOp::Delete { .. }, _, 0) => Want::Stands,
+                        (BatchOp::Delete { .. }, _, _) => Want::Recovered(Revision::ZERO),
+                        (BatchOp::Create { .. }, "matches", _) => Want::Recovered(Revision(3)),
+                        (BatchOp::Update { .. }, "matches", _) => Want::Recovered(Revision(7)),
+                        (_, "differs", _) => Want::Stands,
+                        _ => Want::Rerun,
+                    };
+                    let exchange = ReadBack(read_back.clone());
+                    let cell = format!("{op:?} attempt {attempt}, read-back {label}");
+
+                    let scalar = match op.clone() {
+                        BatchOp::Create { key, value } => Request::Create {
+                            store: store.clone(),
+                            key,
+                            value,
+                        },
+                        BatchOp::Update {
+                            key,
+                            value,
+                            expected,
+                        } => Request::Update {
+                            store: store.clone(),
+                            key,
+                            value,
+                            expected,
+                        },
+                        BatchOp::Delete { key } => Request::Delete {
+                            store: store.clone(),
+                            key,
+                        },
+                        BatchOp::Patch { .. } => unreachable!(),
+                    };
+                    let got =
+                        recover_lost_ack(&exchange, &scalar, Err(collision.clone()), attempt).await;
+                    let got = match got {
+                        Ok(Response::Revision { revision }) => Want::Recovered(revision),
+                        Err(e) if e == *collision => Want::Stands,
+                        Err(Error::Transport(_)) => Want::Rerun,
+                        other => panic!("scalar {cell}: {other:?}"),
+                    };
+                    assert_eq!(got, want, "scalar {cell}");
+
+                    let batch = Request::BatchCommit {
+                        store: store.clone(),
+                        ops: vec![op.clone()],
+                    };
+                    let outcome = Ok(Response::Batch {
+                        items: vec![ItemResult::from_error(collision)],
+                    });
+                    let got = match recover_lost_ack(&exchange, &batch, outcome, attempt).await {
+                        Ok(Response::Batch { items }) => match &items[0] {
+                            ItemResult::Revision { revision } => Want::Recovered(*revision),
+                            ItemResult::Error { code, .. } if code == collision.code() => {
+                                Want::Stands
+                            }
+                            other => panic!("batch {cell}: {other:?}"),
+                        },
+                        Err(Error::Transport(_)) => Want::Rerun,
+                        other => panic!("batch {cell}: {other:?}"),
+                    };
+                    assert_eq!(got, want, "batch item {cell}");
+                }
+            }
+        }
     }
 }

@@ -12,7 +12,7 @@
 //!   delays, and duplicates whole frames and force-closes connections,
 //!   exercising the genuine reconnect path in
 //!   [`crate::client::ResilientClient`].
-//! * [`FaultApi`] — an [`ExchangeApi`] decorator for in-process
+//! * [`FaultApi`] — an [`Exchange`] layer for in-process
 //!   ([`crate::loopback`]) deployments: request ops are lost before
 //!   execution, lost after execution (executed-but-unacknowledged, the
 //!   dual of [`knactor_store::CrashPoint::AfterAppend`]), duplicated, or
@@ -20,13 +20,10 @@
 //!   there is no reconnect machinery to resume them, so faulting them
 //!   would only test the absence of a feature.
 
-use crate::api::{BoxFuture, ExchangeApi, TailRx, WatchRx};
+use crate::api::{BoxFuture, Exchange, TailRx, WatchRx};
 use crate::frame::{FrameReader, FrameWriter};
-use crate::proto::{ProfileSpec, QuerySpec};
-use knactor_logstore::LogRecord;
-use knactor_store::udf::UdfAssignment;
-use knactor_store::{BatchOp, ItemResult, PutItem, StoredObject, TxOp, UdfBinding};
-use knactor_types::{Error, ObjectKey, Result, Revision, Schema, SchemaName, StoreId, Value};
+use crate::proto::{Request, Response};
+use knactor_types::{Error, Result};
 use parking_lot::Mutex;
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -367,16 +364,16 @@ enum Decision {
     Delay(Duration),
 }
 
-/// Fault-injecting [`ExchangeApi`] decorator for in-process deployments.
+/// Fault-injecting [`Exchange`] layer for in-process deployments.
 pub struct FaultApi {
-    inner: Arc<dyn ExchangeApi>,
+    inner: Arc<dyn Exchange>,
     plan: Mutex<FaultPlan>,
     rng: Mutex<FaultRng>,
     stats: Arc<FaultStats>,
 }
 
 impl FaultApi {
-    pub fn new(inner: Arc<dyn ExchangeApi>, plan: FaultPlan) -> FaultApi {
+    pub fn new(inner: Arc<dyn Exchange>, plan: FaultPlan) -> FaultApi {
         FaultApi {
             inner,
             rng: Mutex::new(FaultRng::new(plan.seed)),
@@ -426,221 +423,54 @@ impl FaultApi {
         }
         Decision::Pass
     }
+}
 
-    /// Run `op` under this request's fault decision. `op` must be
-    /// re-invokable (it is called twice for [`Decision::Duplicate`]).
-    fn apply<T: Send + 'static>(
-        &self,
-        op: impl Fn() -> BoxFuture<'static, Result<T>> + Send + 'static,
-    ) -> BoxFuture<'_, Result<T>> {
+/// Requests subject to injection. Observability must stay reliable under
+/// chaos, so scrapes bypass it — as the watch/tail streams do.
+fn faultable(request: &Request) -> bool {
+    !matches!(request, Request::Metrics)
+}
+
+impl Exchange for FaultApi {
+    /// One fault decision per request — and a batch is one request: a
+    /// dropped batch loses all of it, a duplicated batch re-executes all
+    /// of it, exactly what the proxy does to a batched frame.
+    fn call(&self, request: Request) -> BoxFuture<'_, Result<Response>> {
+        if !faultable(&request) {
+            return self.inner.call(request);
+        }
         let decision = self.decide();
-        let stats = Arc::clone(&self.stats);
         Box::pin(async move {
             match decision {
-                Decision::Pass => {
-                    let out = op().await;
-                    FaultStats::bump(&stats.frames_forwarded);
-                    out
-                }
                 Decision::LoseRequest => {
-                    Err(Error::Transport("injected: request lost".to_string()))
+                    return Err(Error::Transport("injected: request lost".to_string()))
                 }
                 Decision::LoseReply => {
-                    let _ = op().await;
-                    Err(Error::Transport("injected: reply lost".to_string()))
+                    let _ = self.inner.call(request).await;
+                    return Err(Error::Transport("injected: reply lost".to_string()));
                 }
-                Decision::Duplicate => {
-                    let first = op().await;
-                    let _ = op().await;
-                    FaultStats::bump(&stats.frames_forwarded);
-                    first
-                }
-                Decision::Delay(d) => {
-                    tokio::time::sleep(d).await;
-                    let out = op().await;
-                    FaultStats::bump(&stats.frames_forwarded);
-                    out
-                }
+                Decision::Delay(d) => tokio::time::sleep(d).await,
+                Decision::Duplicate | Decision::Pass => {}
             }
+            let out = if matches!(decision, Decision::Duplicate) {
+                let first = self.inner.call(request.clone()).await;
+                let _ = self.inner.call(request).await;
+                first
+            } else {
+                self.inner.call(request).await
+            };
+            FaultStats::bump(&self.stats.frames_forwarded);
+            out
         })
-    }
-}
-
-/// Builds the `'static` re-invokable op closure `FaultApi::apply` needs:
-/// clones the captured state per invocation and moves it into an async
-/// block that owns its `ExchangeApi` handle.
-macro_rules! faulted_op {
-    ($self:ident, ($($arg:ident),*), $call:ident) => {{
-        let inner = Arc::clone(&$self.inner);
-        $self.apply(move || {
-            let inner = Arc::clone(&inner);
-            $(let $arg = $arg.clone();)*
-            Box::pin(async move { inner.$call($($arg),*).await })
-        })
-    }};
-}
-
-impl ExchangeApi for FaultApi {
-    fn create_store(&self, store: StoreId, profile: ProfileSpec) -> BoxFuture<'_, Result<()>> {
-        faulted_op!(self, (store, profile), create_store)
-    }
-
-    fn create(
-        &self,
-        store: StoreId,
-        key: ObjectKey,
-        value: Value,
-    ) -> BoxFuture<'_, Result<Revision>> {
-        faulted_op!(self, (store, key, value), create)
-    }
-
-    fn get(&self, store: StoreId, key: ObjectKey) -> BoxFuture<'_, Result<StoredObject>> {
-        faulted_op!(self, (store, key), get)
-    }
-
-    fn list(&self, store: StoreId) -> BoxFuture<'_, Result<(Vec<StoredObject>, Revision)>> {
-        faulted_op!(self, (store), list)
-    }
-
-    fn update(
-        &self,
-        store: StoreId,
-        key: ObjectKey,
-        value: Value,
-        expected: Option<Revision>,
-    ) -> BoxFuture<'_, Result<Revision>> {
-        faulted_op!(self, (store, key, value, expected), update)
-    }
-
-    fn patch(
-        &self,
-        store: StoreId,
-        key: ObjectKey,
-        patch: Value,
-        upsert: bool,
-    ) -> BoxFuture<'_, Result<Revision>> {
-        faulted_op!(self, (store, key, patch, upsert), patch)
-    }
-
-    fn delete(&self, store: StoreId, key: ObjectKey) -> BoxFuture<'_, Result<Revision>> {
-        faulted_op!(self, (store, key), delete)
-    }
-
-    // Batch ops are one wire frame each, so they take ONE fault decision
-    // per call — a dropped batch loses all of it, a duplicated batch
-    // re-executes all of it. That is exactly what the proxy does to a
-    // batched frame.
-    fn batch_get(
-        &self,
-        store: StoreId,
-        keys: Vec<ObjectKey>,
-    ) -> BoxFuture<'_, Result<Vec<ItemResult>>> {
-        faulted_op!(self, (store, keys), batch_get)
-    }
-
-    fn batch_put(
-        &self,
-        store: StoreId,
-        items: Vec<PutItem>,
-    ) -> BoxFuture<'_, Result<Vec<ItemResult>>> {
-        faulted_op!(self, (store, items), batch_put)
-    }
-
-    fn batch_commit(
-        &self,
-        store: StoreId,
-        ops: Vec<BatchOp>,
-    ) -> BoxFuture<'_, Result<Vec<ItemResult>>> {
-        faulted_op!(self, (store, ops), batch_commit)
-    }
-
-    fn register_consumer(
-        &self,
-        store: StoreId,
-        key: ObjectKey,
-        consumer: String,
-    ) -> BoxFuture<'_, Result<()>> {
-        faulted_op!(self, (store, key, consumer), register_consumer)
-    }
-
-    fn mark_processed(
-        &self,
-        store: StoreId,
-        key: ObjectKey,
-        consumer: String,
-    ) -> BoxFuture<'_, Result<Vec<ObjectKey>>> {
-        faulted_op!(self, (store, key, consumer), mark_processed)
     }
 
     // Watch/tail streams pass through unfaulted — see module docs.
-    fn watch(&self, store: StoreId, from: Revision) -> BoxFuture<'_, Result<WatchRx>> {
-        let inner = Arc::clone(&self.inner);
-        Box::pin(async move { inner.watch(store, from).await })
+    fn open_watch(&self, request: Request) -> BoxFuture<'_, Result<WatchRx>> {
+        self.inner.open_watch(request)
     }
 
-    fn register_schema(&self, schema: Schema) -> BoxFuture<'_, Result<()>> {
-        faulted_op!(self, (schema), register_schema)
-    }
-
-    fn bind_schema(&self, store: StoreId, schema: SchemaName) -> BoxFuture<'_, Result<()>> {
-        faulted_op!(self, (store, schema), bind_schema)
-    }
-
-    fn get_schema(&self, schema: SchemaName) -> BoxFuture<'_, Result<Schema>> {
-        faulted_op!(self, (schema), get_schema)
-    }
-
-    fn register_udf(
-        &self,
-        name: String,
-        inputs: Vec<String>,
-        assignments: Vec<UdfAssignment>,
-    ) -> BoxFuture<'_, Result<()>> {
-        faulted_op!(self, (name, inputs, assignments), register_udf)
-    }
-
-    fn execute_udf(
-        &self,
-        name: String,
-        bindings: Vec<UdfBinding>,
-    ) -> BoxFuture<'_, Result<Vec<(StoreId, Revision)>>> {
-        faulted_op!(self, (name, bindings), execute_udf)
-    }
-
-    fn transact(&self, ops: Vec<TxOp>) -> BoxFuture<'_, Result<Vec<(StoreId, Revision)>>> {
-        faulted_op!(self, (ops), transact)
-    }
-
-    fn log_create_store(&self, store: StoreId) -> BoxFuture<'_, Result<()>> {
-        faulted_op!(self, (store), log_create_store)
-    }
-
-    fn log_append(&self, store: StoreId, fields: Value) -> BoxFuture<'_, Result<u64>> {
-        faulted_op!(self, (store, fields), log_append)
-    }
-
-    fn log_append_batch(&self, store: StoreId, batch: Vec<Value>) -> BoxFuture<'_, Result<u64>> {
-        faulted_op!(self, (store, batch), log_append_batch)
-    }
-
-    fn log_read(&self, store: StoreId, from: u64) -> BoxFuture<'_, Result<Vec<LogRecord>>> {
-        faulted_op!(self, (store, from), log_read)
-    }
-
-    fn log_query(&self, store: StoreId, query: QuerySpec) -> BoxFuture<'_, Result<Vec<Value>>> {
-        faulted_op!(self, (store, query), log_query)
-    }
-
-    fn log_tail(&self, store: StoreId, from: u64) -> BoxFuture<'_, Result<TailRx>> {
-        let inner = Arc::clone(&self.inner);
-        Box::pin(async move { inner.log_tail(store, from).await })
-    }
-
-    fn metrics(&self) -> BoxFuture<'_, Result<knactor_types::metrics::MetricsSnapshot>> {
-        // Observability must stay reliable under chaos: scrapes bypass
-        // fault injection, like watch/tail subscriptions do.
-        let inner = Arc::clone(&self.inner);
-        Box::pin(async move { inner.metrics().await })
+    fn open_tail(&self, request: Request) -> BoxFuture<'_, Result<TailRx>> {
+        self.inner.open_tail(request)
     }
 }
 

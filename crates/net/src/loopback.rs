@@ -1,46 +1,50 @@
 //! In-process transport: the zero-copy deployment.
 //!
-//! A [`LoopbackClient`] implements [`ExchangeApi`] directly against
-//! in-process exchanges. Values move as `serde_json::Value` clones with
-//! **no serialization, framing, or syscalls** — this is the §3.3
-//! "zero-copy data exchange between DE and integrator" configuration, and
-//! the baseline the TCP transport is benchmarked against.
-//!
-//! Access control and engine-profile latency still apply: they are
-//! properties of the exchange, not of the transport.
+//! A [`LoopbackClient`] is an [`Exchange`] bound directly to a
+//! [`LocalExchange`] — the same dispatcher the TCP server runs behind its
+//! sockets. Values move as `serde_json::Value` clones with **no
+//! serialization, framing, or syscalls** — this is the §3.3 "zero-copy
+//! data exchange between DE and integrator" configuration, and the
+//! baseline the TCP transport is benchmarked against.
 
-use crate::api::{BoxFuture, ExchangeApi, TailRx, WatchRx};
-use crate::proto::{ProfileSpec, QuerySpec};
-use knactor_logstore::{LogExchange, LogRecord};
+use crate::api::{BoxFuture, Exchange, TailRx, WatchRx};
+use crate::local::LocalExchange;
+use crate::proto::{Request, Response};
+use knactor_logstore::LogExchange;
 use knactor_rbac::Subject;
-use knactor_store::udf::UdfAssignment;
-use knactor_store::{BatchOp, DataExchange, ItemResult, StoredObject, TxOp, UdfBinding};
-use knactor_types::{ObjectKey, Result, Revision, Schema, SchemaName, StoreId, Value};
+use knactor_store::DataExchange;
+use knactor_types::Result;
 use std::path::PathBuf;
 use std::sync::Arc;
 
 /// Client bound directly to in-process exchanges.
 #[derive(Clone)]
 pub struct LoopbackClient {
-    object: Arc<DataExchange>,
-    log: Arc<LogExchange>,
+    local: Arc<LocalExchange>,
     subject: Subject,
-    /// Where `ProfileSpec::Apiserver` stores roots its WAL files.
-    data_dir: PathBuf,
 }
 
 impl LoopbackClient {
+    /// A client onto bare exchanges: no replication runtime, WALs rooted
+    /// under a shared temp directory unless [`Self::with_data_dir`] says
+    /// otherwise.
     pub fn new(object: Arc<DataExchange>, log: Arc<LogExchange>, subject: Subject) -> Self {
-        LoopbackClient {
+        let local = LocalExchange {
             object,
             log,
-            subject,
             data_dir: std::env::temp_dir().join("knactor-loopback"),
-        }
+            repl: None,
+        };
+        LoopbackClient::over(Arc::new(local), subject)
+    }
+
+    /// A client onto an existing dispatcher (a running server's, say).
+    pub(crate) fn over(local: Arc<LocalExchange>, subject: Subject) -> Self {
+        LoopbackClient { local, subject }
     }
 
     pub fn with_data_dir(mut self, dir: impl Into<PathBuf>) -> Self {
-        self.data_dir = dir.into();
+        Arc::make_mut(&mut self.local).data_dir = dir.into();
         self
     }
 
@@ -55,247 +59,19 @@ impl LoopbackClient {
             ..self.clone()
         }
     }
-
-    fn subject_str(&self) -> String {
-        self.subject.to_string()
-    }
 }
 
-impl ExchangeApi for LoopbackClient {
-    fn create_store(&self, store: StoreId, profile: ProfileSpec) -> BoxFuture<'_, Result<()>> {
-        Box::pin(async move {
-            let profile = profile.materialize(&self.data_dir, &store);
-            self.object.create_store(store, profile)?;
-            Ok(())
-        })
+impl Exchange for LoopbackClient {
+    fn call(&self, request: Request) -> BoxFuture<'_, Result<Response>> {
+        Box::pin(self.local.call(&self.subject, request))
     }
 
-    fn create(
-        &self,
-        store: StoreId,
-        key: ObjectKey,
-        value: Value,
-    ) -> BoxFuture<'_, Result<Revision>> {
-        Box::pin(async move {
-            self.object
-                .handle(&store, self.subject.clone())?
-                .create(key, value)
-                .await
-        })
+    fn open_watch(&self, request: Request) -> BoxFuture<'_, Result<WatchRx>> {
+        Box::pin(async move { self.local.open(&self.subject, request)?.into_watch_rx() })
     }
 
-    fn get(&self, store: StoreId, key: ObjectKey) -> BoxFuture<'_, Result<StoredObject>> {
-        Box::pin(async move {
-            self.object
-                .handle(&store, self.subject.clone())?
-                .get(&key)
-                .await
-        })
-    }
-
-    fn list(&self, store: StoreId) -> BoxFuture<'_, Result<(Vec<StoredObject>, Revision)>> {
-        Box::pin(async move {
-            self.object
-                .handle(&store, self.subject.clone())?
-                .list()
-                .await
-        })
-    }
-
-    fn update(
-        &self,
-        store: StoreId,
-        key: ObjectKey,
-        value: Value,
-        expected: Option<Revision>,
-    ) -> BoxFuture<'_, Result<Revision>> {
-        Box::pin(async move {
-            self.object
-                .handle(&store, self.subject.clone())?
-                .update(&key, value, expected)
-                .await
-        })
-    }
-
-    fn patch(
-        &self,
-        store: StoreId,
-        key: ObjectKey,
-        patch: Value,
-        upsert: bool,
-    ) -> BoxFuture<'_, Result<Revision>> {
-        Box::pin(async move {
-            self.object
-                .handle(&store, self.subject.clone())?
-                .patch(&key, patch, upsert)
-                .await
-        })
-    }
-
-    fn delete(&self, store: StoreId, key: ObjectKey) -> BoxFuture<'_, Result<Revision>> {
-        Box::pin(async move {
-            self.object
-                .handle(&store, self.subject.clone())?
-                .delete(&key)
-                .await
-        })
-    }
-
-    fn batch_get(
-        &self,
-        store: StoreId,
-        keys: Vec<ObjectKey>,
-    ) -> BoxFuture<'_, Result<Vec<ItemResult>>> {
-        Box::pin(async move {
-            self.object
-                .handle(&store, self.subject.clone())?
-                .batch_get(&keys)
-                .await
-        })
-    }
-
-    // batch_put keeps the trait default (convert to patch ops, call
-    // batch_commit) — identical to what the server does with a BatchPut.
-
-    fn batch_commit(
-        &self,
-        store: StoreId,
-        ops: Vec<BatchOp>,
-    ) -> BoxFuture<'_, Result<Vec<ItemResult>>> {
-        // Same handle entry point the TCP server dispatches to, so both
-        // transports share one batch semantics (per-item outcomes, one
-        // fan-out drain, one WAL group fsync).
-        Box::pin(async move {
-            self.object
-                .handle(&store, self.subject.clone())?
-                .batch_commit(ops)
-                .await
-        })
-    }
-
-    fn register_consumer(
-        &self,
-        store: StoreId,
-        key: ObjectKey,
-        consumer: String,
-    ) -> BoxFuture<'_, Result<()>> {
-        Box::pin(async move {
-            self.object
-                .handle(&store, self.subject.clone())?
-                .register_consumer(&key, &consumer)
-                .await
-        })
-    }
-
-    fn mark_processed(
-        &self,
-        store: StoreId,
-        key: ObjectKey,
-        consumer: String,
-    ) -> BoxFuture<'_, Result<Vec<ObjectKey>>> {
-        Box::pin(async move {
-            self.object
-                .handle(&store, self.subject.clone())?
-                .mark_processed(&key, &consumer)
-                .await
-        })
-    }
-
-    fn watch(&self, store: StoreId, from: Revision) -> BoxFuture<'_, Result<WatchRx>> {
-        Box::pin(async move {
-            let stream = self
-                .object
-                .handle(&store, self.subject.clone())?
-                .watch_from(from)?;
-            Ok(stream.into_receiver())
-        })
-    }
-
-    fn register_schema(&self, schema: Schema) -> BoxFuture<'_, Result<()>> {
-        Box::pin(async move { self.object.register_schema(schema) })
-    }
-
-    fn bind_schema(&self, store: StoreId, schema: SchemaName) -> BoxFuture<'_, Result<()>> {
-        Box::pin(async move { self.object.bind_schema(&store, &schema) })
-    }
-
-    fn get_schema(&self, schema: SchemaName) -> BoxFuture<'_, Result<Schema>> {
-        Box::pin(async move { self.object.schema(&schema) })
-    }
-
-    fn register_udf(
-        &self,
-        name: String,
-        inputs: Vec<String>,
-        assignments: Vec<UdfAssignment>,
-    ) -> BoxFuture<'_, Result<()>> {
-        Box::pin(async move { self.object.register_udf(name, inputs, &assignments) })
-    }
-
-    fn execute_udf(
-        &self,
-        name: String,
-        bindings: Vec<UdfBinding>,
-    ) -> BoxFuture<'_, Result<Vec<(StoreId, Revision)>>> {
-        Box::pin(async move {
-            // Pushing logic down still costs one command round trip to
-            // the exchange (what Redis Functions cost); model it with the
-            // priciest bound store's per-op delays once, instead of once
-            // per read/write as the non-pushdown path pays.
-            let mut round_trip = std::time::Duration::ZERO;
-            for b in &bindings {
-                if let Ok(store) = self.object.store(&b.store) {
-                    let p = store.profile();
-                    round_trip = round_trip.max(p.read_delay + p.write_delay);
-                }
-            }
-            knactor_store::profile::precise_sleep(round_trip).await;
-            let revs = self.object.execute_udf(&self.subject, &name, &bindings)?;
-            Ok(revs.into_iter().collect())
-        })
-    }
-
-    fn transact(&self, ops: Vec<TxOp>) -> BoxFuture<'_, Result<Vec<(StoreId, Revision)>>> {
-        Box::pin(async move {
-            let revs = self.object.transact(&self.subject, &ops)?;
-            Ok(revs.into_iter().collect())
-        })
-    }
-
-    fn log_create_store(&self, store: StoreId) -> BoxFuture<'_, Result<()>> {
-        Box::pin(async move {
-            self.log.create_store(store)?;
-            Ok(())
-        })
-    }
-
-    fn log_append(&self, store: StoreId, fields: Value) -> BoxFuture<'_, Result<u64>> {
-        Box::pin(async move { self.log.ingest(&self.subject_str(), &store, fields) })
-    }
-
-    fn log_append_batch(&self, store: StoreId, batch: Vec<Value>) -> BoxFuture<'_, Result<u64>> {
-        Box::pin(async move { self.log.ingest_batch(&self.subject_str(), &store, batch) })
-    }
-
-    fn log_read(&self, store: StoreId, from: u64) -> BoxFuture<'_, Result<Vec<LogRecord>>> {
-        Box::pin(async move { Ok(self.log.store(&store)?.read_from(from)) })
-    }
-
-    fn log_query(&self, store: StoreId, query: QuerySpec) -> BoxFuture<'_, Result<Vec<Value>>> {
-        Box::pin(async move {
-            let compiled = query.compile()?;
-            self.log.query(&self.subject_str(), &store, &compiled)
-        })
-    }
-
-    fn log_tail(&self, store: StoreId, from: u64) -> BoxFuture<'_, Result<TailRx>> {
-        Box::pin(async move { Ok(self.log.store(&store)?.tail(from)) })
-    }
-
-    fn metrics(&self) -> BoxFuture<'_, Result<knactor_types::metrics::MetricsSnapshot>> {
-        // In-process deployment: the client and the exchange share one
-        // process, so the global registry *is* the exchange's registry.
-        Box::pin(async move { Ok(knactor_types::metrics::global().snapshot()) })
+    fn open_tail(&self, request: Request) -> BoxFuture<'_, Result<TailRx>> {
+        Box::pin(async move { self.local.open(&self.subject, request)?.into_tail_rx() })
     }
 }
 
@@ -311,6 +87,10 @@ pub fn in_process(subject: Subject) -> (Arc<DataExchange>, Arc<LogExchange>, Loo
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::api::ExchangeApi;
+    use crate::proto::{ProfileSpec, QuerySpec};
+    use crate::{ExchangeServer, TcpClient};
+    use knactor_types::{Error, ObjectKey, Revision, StoreId};
     use serde_json::json;
 
     #[tokio::test]
@@ -370,5 +150,67 @@ mod tests {
         let other = client.as_subject(Subject::integrator("b"));
         assert_eq!(other.subject().to_string(), "integrator:b");
         assert_eq!(client.subject().to_string(), "operator:a");
+    }
+
+    /// A replicated profile behaves the same through a node's loopback as
+    /// through its socket — quorum state attached, follower fenced — and
+    /// bare exchanges, which could only serve it un-replicated, refuse it.
+    #[tokio::test]
+    async fn replicated_profile_needs_the_nodes_replication_runtime() {
+        let replicated = ProfileSpec::Replicated { acks: 1 };
+        let (object, _, bare) = in_process(Subject::operator("t"));
+        let err = bare
+            .create_store(StoreId::new("r/bare"), replicated.clone())
+            .await
+            .unwrap_err();
+        assert!(matches!(err, Error::Internal(_)), "{err:?}");
+        assert!(object.store(&StoreId::new("r/bare")).is_err());
+
+        let server = ExchangeServer::bind_ephemeral().await.unwrap();
+        let local = server.loopback(Subject::operator("t"));
+        let wire = TcpClient::connect(server.local_addr(), Subject::operator("t"))
+            .await
+            .unwrap();
+        local
+            .create_store(StoreId::new("r/local"), replicated.clone())
+            .await
+            .unwrap();
+        wire.create_store(StoreId::new("r/wire"), replicated)
+            .await
+            .unwrap();
+        for id in ["r/local", "r/wire"] {
+            let store = server.object.store(&StoreId::new(id)).unwrap();
+            assert!(store.repl().is_some(), "{id} has no quorum state");
+        }
+        server.repl().set_follower();
+        for client in [&local as &dyn ExchangeApi, &wire] {
+            let err = client
+                .create(StoreId::new("r/local"), ObjectKey::new("a"), json!(1))
+                .await
+                .unwrap_err();
+            assert!(matches!(err, Error::NotLeader { .. }), "{err:?}");
+        }
+        server.shutdown().await;
+    }
+
+    #[tokio::test]
+    async fn stream_request_through_call_is_a_typed_error() {
+        let (_, _, client) = in_process(Subject::operator("test"));
+        let store = StoreId::new("t/s");
+        let from = Revision::ZERO;
+        for request in [
+            Request::Watch {
+                store: store.clone(),
+                from,
+            },
+            Request::ReplSubscribe {
+                store: store.clone(),
+                from,
+            },
+            Request::LogTail { store, from: 0 },
+        ] {
+            let err = client.call(request).await.unwrap_err();
+            assert!(matches!(err, Error::Internal(_)), "{err:?}");
+        }
     }
 }

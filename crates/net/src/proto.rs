@@ -318,6 +318,17 @@ pub enum Request {
     Metrics,
 }
 
+impl Request {
+    /// Stream requests open a subscription rather than earn one reply;
+    /// they travel through `Exchange::open_watch` / `open_tail`.
+    pub fn is_stream(&self) -> bool {
+        matches!(
+            self,
+            Request::Watch { .. } | Request::ReplSubscribe { .. } | Request::LogTail { .. }
+        )
+    }
+}
+
 /// Server → client replies.
 #[derive(Debug, Clone, Serialize, Deserialize, PartialEq)]
 #[serde(rename_all = "snake_case", tag = "type")]

@@ -30,23 +30,18 @@
 //! session and issues a `ReplWait` barrier before serving the session's
 //! read from a replica that has not provably caught up to it.
 
-use crate::api::{BoxFuture, ExchangeApi, TailRx, WatchRx};
-use crate::client::{ReplStatusInfo, ResilientClient, RetryPolicy, TcpClient};
+use crate::api::{misrouted, BoxFuture, Exchange, ExchangeApi, ReplStatusInfo, TailRx, WatchRx};
+use crate::client::{recover_lost_ack, ResilientClient, RetryPolicy, TcpClient};
 use crate::fault::{FaultApi, FaultPlan};
 use crate::loopback::LoopbackClient;
-use crate::proto::{ProfileSpec, QuerySpec};
+use crate::proto::{Request, Response};
 use crate::server::ExchangeServer;
-use knactor_logstore::LogRecord;
 use knactor_rbac::Subject;
-use knactor_store::udf::UdfAssignment;
 use knactor_store::ApplyOutcome as CursorOutcome;
 use knactor_store::{
-    BatchOp, DataExchange, EventKind, FollowerCursor, ItemResult, PutItem, ReplGroup, ReplState,
-    StoredObject, TxOp, UdfBinding, WatchEvent,
+    BatchOp, DataExchange, EventKind, FollowerCursor, ItemResult, ReplGroup, ReplState, WatchEvent,
 };
-use knactor_types::{
-    metrics, Error, ObjectKey, Result, Revision, Schema, SchemaName, StoreId, Value,
-};
+use knactor_types::{metrics, Error, Result, Revision, StoreId};
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::net::SocketAddr;
@@ -209,7 +204,7 @@ impl FollowerHandle {
 /// quorum waits are passive, so it can never deadlock on itself.
 pub fn run_follower(
     server: &ExchangeServer,
-    apply: Arc<dyn ExchangeApi>,
+    apply: Arc<dyn Exchange>,
     config: FollowerConfig,
 ) -> FollowerHandle {
     let object = Arc::clone(&server.object);
@@ -234,7 +229,7 @@ pub fn run_follower(
 async fn follower_loop(
     object: Arc<DataExchange>,
     runtime: Arc<ReplRuntime>,
-    apply: Arc<dyn ExchangeApi>,
+    apply: Arc<dyn Exchange>,
     config: FollowerConfig,
     leader_idx: Arc<AtomicUsize>,
     shutdown: Arc<AtomicBool>,
@@ -266,7 +261,7 @@ async fn follower_loop(
 async fn replication_session(
     object: &Arc<DataExchange>,
     runtime: &Arc<ReplRuntime>,
-    apply: &Arc<dyn ExchangeApi>,
+    apply: &Arc<dyn Exchange>,
     config: &FollowerConfig,
     client: &Arc<TcpClient>,
     shutdown: &Arc<AtomicBool>,
@@ -351,7 +346,7 @@ fn op_of(event: &WatchEvent) -> BatchOp {
 async fn replicate_store(
     object: Arc<DataExchange>,
     runtime: Arc<ReplRuntime>,
-    apply: Arc<dyn ExchangeApi>,
+    apply: Arc<dyn Exchange>,
     follower: String,
     client: Arc<TcpClient>,
     id: StoreId,
@@ -521,14 +516,15 @@ async fn probe_status(addr: SocketAddr, name: &str) -> Option<ReplStatusInfo> {
 // ReplicaRouter
 // ---------------------------------------------------------------------------
 
-/// Client-side entry point to a replica set, behind the unchanged
-/// [`ExchangeApi`]: writes go to the leader (re-resolving through
+/// Client-side entry point to a replica set, as one more [`Exchange`]
+/// layer: writes go to the leader (re-resolving through
 /// `NotLeader`/transport failures and failovers), reads round-robin
 /// across the whole set with read-your-writes session barriers, and
 /// watches ride replicas so they only ever observe replicated — hence
-/// ack-eligible — state.
+/// ack-eligible — state. The members are any [`Exchange`]s, typically one
+/// [`ResilientClient`] per node.
 pub struct ReplicaRouter {
-    nodes: Vec<Arc<ResilientClient>>,
+    nodes: Vec<Arc<dyn Exchange>>,
     leader: AtomicUsize,
     rr: AtomicUsize,
     reads: AtomicU64,
@@ -542,6 +538,28 @@ pub struct ReplicaRouter {
     caught_up: Mutex<HashMap<(usize, StoreId), u64>>,
 }
 
+/// Where a replica set sends a request.
+enum Route<'a> {
+    /// Every member materializes the store (followers need it before the
+    /// replication stream can land).
+    Broadcast,
+    /// Any caught-up member may answer a read of this store.
+    Replica(&'a StoreId),
+    /// Mutations, registrations, and log traffic (log stores are not
+    /// replicated; they ride the leader like any single-node deployment).
+    Leader,
+}
+
+fn route(request: &Request) -> Route<'_> {
+    match request {
+        Request::CreateStore { .. } => Route::Broadcast,
+        Request::Get { store, .. } | Request::List { store } | Request::BatchGet { store, .. } => {
+            Route::Replica(store)
+        }
+        _ => Route::Leader,
+    }
+}
+
 impl ReplicaRouter {
     /// Connect one resilient client per replica-set member and resolve
     /// the current leader.
@@ -550,13 +568,19 @@ impl ReplicaRouter {
         subject: Subject,
         policy: RetryPolicy,
     ) -> Result<ReplicaRouter> {
-        assert!(!addrs.is_empty(), "a replica set has at least one node");
-        let mut nodes = Vec::with_capacity(addrs.len());
+        let mut nodes: Vec<Arc<dyn Exchange>> = Vec::with_capacity(addrs.len());
         for addr in addrs {
             nodes.push(Arc::new(
                 ResilientClient::connect(*addr, subject.clone(), policy).await?,
             ));
         }
+        Ok(ReplicaRouter::over(nodes).await)
+    }
+
+    /// Route over the given members (index-aligned with the replica
+    /// set) and resolve the current leader.
+    pub async fn over(nodes: Vec<Arc<dyn Exchange>>) -> ReplicaRouter {
+        assert!(!nodes.is_empty(), "a replica set has at least one node");
         let router = ReplicaRouter {
             dead: nodes.iter().map(|_| AtomicBool::new(false)).collect(),
             nodes,
@@ -567,7 +591,7 @@ impl ReplicaRouter {
             caught_up: Mutex::new(HashMap::new()),
         };
         let _ = router.resolve_leader().await;
-        Ok(router)
+        router
     }
 
     pub fn node_count(&self) -> usize {
@@ -577,6 +601,10 @@ impl ReplicaRouter {
     /// Index of the node currently believed to lead.
     pub fn leader_index(&self) -> usize {
         self.leader.load(Ordering::Acquire)
+    }
+
+    fn leader_node(&self) -> &Arc<dyn Exchange> {
+        &self.nodes[self.leader_index()]
     }
 
     /// Poll the set until some node claims leadership; highest epoch
@@ -610,19 +638,18 @@ impl ReplicaRouter {
         }
     }
 
-    /// Run `op` against the leader, re-resolving leadership and retrying
-    /// on `NotLeader` and transport-level failures (which is how a write
-    /// in flight during failover finds the new leader). `op` receives
-    /// the routing attempt number; `attempt > 0` means an earlier try
-    /// may have executed on a now-dead leader without us seeing its ack.
-    async fn lead<T, F>(&self, op: F) -> Result<T>
-    where
-        F: for<'c> Fn(&'c ResilientClient, u32) -> BoxFuture<'c, Result<T>>,
-    {
+    /// Run `request` against the leader, re-resolving leadership and
+    /// retrying on `NotLeader` and transport-level failures (which is how
+    /// a write in flight during failover finds the new leader). A try
+    /// past the first may follow one that executed on a now-dead leader
+    /// without us seeing its ack, so every outcome passes through the
+    /// shared [`recover_lost_ack`] with the routing attempt number.
+    async fn lead(&self, request: &Request) -> Result<Response> {
         let mut last: Option<Error> = None;
         for attempt in 0..LEAD_ATTEMPTS {
-            let idx = self.leader.load(Ordering::Acquire);
-            match op(&self.nodes[idx], attempt).await {
+            let node = self.leader_node();
+            let outcome = node.call(request.clone()).await;
+            match recover_lost_ack(&**node, request, outcome, attempt).await {
                 Err(e @ (Error::NotLeader { .. } | Error::Transport(_) | Error::Timeout(_))) => {
                     last = Some(e);
                     if let Err(resolve) = self.resolve_leader().await {
@@ -635,12 +662,36 @@ impl ReplicaRouter {
         Err(last.unwrap_or_else(|| Error::Transport("leader retries exhausted".to_string())))
     }
 
-    /// Record an acked write: the session's floor for replica reads.
-    fn note_write(&self, store: &StoreId, rev: Revision) {
-        let mut session = self.session.lock();
-        let entry = session.entry(store.clone()).or_insert(0);
-        if rev.0 > *entry {
-            *entry = rev.0;
+    /// Record the writes a leader reply acked: the session's floor for
+    /// replica reads.
+    fn note_writes(&self, request: &Request, response: &Response) {
+        let note = |store: &StoreId, rev: Revision| {
+            let mut session = self.session.lock();
+            let entry = session.entry(store.clone()).or_insert(0);
+            *entry = (*entry).max(rev.0);
+        };
+        match (request, response) {
+            (
+                Request::Create { store, .. }
+                | Request::Update { store, .. }
+                | Request::Patch { store, .. }
+                | Request::Delete { store, .. },
+                Response::Revision { revision },
+            ) => note(store, *revision),
+            (
+                Request::BatchPut { store, .. } | Request::BatchCommit { store, .. },
+                Response::Batch { items },
+            ) => {
+                if let Some(high) = items.iter().filter_map(item_revision).max() {
+                    note(store, high);
+                }
+            }
+            (_, Response::Revisions { revisions }) => {
+                for (store, rev) in revisions {
+                    note(store, *rev);
+                }
+            }
+            _ => {}
         }
     }
 
@@ -662,9 +713,7 @@ impl ReplicaRouter {
         let mut order: Vec<usize> = (0..n).map(|i| (start + i) % n).collect();
         order.retain(|i| !self.dead[*i].load(Ordering::Acquire));
         let leader = self.leader.load(Ordering::Acquire);
-        if order.is_empty() {
-            order.push(leader);
-        } else if !order.contains(&leader) {
+        if !order.contains(&leader) {
             // The leader always serves as the fallback of last resort.
             order.push(leader);
         }
@@ -700,10 +749,7 @@ impl ReplicaRouter {
 
     /// Run a read against the replica set: rotate across live nodes
     /// (barriered), falling back toward the leader on failure.
-    async fn read<T, F>(&self, store: &StoreId, op: F) -> Result<T>
-    where
-        F: for<'c> Fn(&'c ResilientClient) -> BoxFuture<'c, Result<T>>,
-    {
+    async fn read(&self, store: &StoreId, request: &Request) -> Result<Response> {
         let mut last: Option<Error> = None;
         for idx in self.read_candidates() {
             if self.barrier(idx, store).await.is_err() {
@@ -711,7 +757,7 @@ impl ReplicaRouter {
                 // leader): skip it rather than risk a stale read.
                 continue;
             }
-            match op(&self.nodes[idx]).await {
+            match self.nodes[idx].call(request.clone()).await {
                 Err(e @ (Error::Transport(_) | Error::Timeout(_))) => {
                     self.dead[idx].store(true, Ordering::Release);
                     last = Some(e);
@@ -721,251 +767,23 @@ impl ReplicaRouter {
         }
         Err(last.unwrap_or_else(|| Error::Transport("no readable replica".to_string())))
     }
-}
 
-impl ExchangeApi for ReplicaRouter {
-    /// Broadcast: every member materializes the store (followers need it
-    /// before the replication stream can land). `AlreadyExists` from a
-    /// member that restarted with surviving state is tolerated.
-    fn create_store(&self, store: StoreId, profile: ProfileSpec) -> BoxFuture<'_, Result<()>> {
-        Box::pin(async move {
-            let leader = self.leader.load(Ordering::Acquire);
-            let mut order: Vec<usize> = (0..self.nodes.len()).collect();
-            order.sort_by_key(|i| if *i == leader { 0 } else { 1 });
-            for idx in order {
-                match self.nodes[idx]
-                    .create_store(store.clone(), profile.clone())
-                    .await
-                {
-                    Ok(()) | Err(Error::AlreadyExists(_)) => {}
-                    Err(e) => return Err(e),
-                }
-            }
-            Ok(())
-        })
-    }
-
-    fn create(
-        &self,
-        store: StoreId,
-        key: ObjectKey,
-        value: Value,
-    ) -> BoxFuture<'_, Result<Revision>> {
-        Box::pin(async move {
-            let result = self
-                .lead(|node, attempt| {
-                    let (store, key, value) = (store.clone(), key.clone(), value.clone());
-                    Box::pin(async move {
-                        match node.create(store.clone(), key.clone(), value.clone()).await {
-                            // A retried create that lost its ack to a dying
-                            // leader resurfaces as AlreadyExists on the new
-                            // one; identical content means it was ours.
-                            Err(Error::AlreadyExists(_)) if attempt > 0 => {
-                                let existing = node.get(store, key).await?;
-                                if *existing.value == value {
-                                    Ok(existing.revision)
-                                } else {
-                                    Err(Error::AlreadyExists(existing.key.to_string()))
-                                }
-                            }
-                            other => other,
-                        }
-                    })
-                })
-                .await?;
-            self.note_write(&store, result);
-            Ok(result)
-        })
-    }
-
-    fn get(&self, store: StoreId, key: ObjectKey) -> BoxFuture<'_, Result<StoredObject>> {
-        Box::pin(async move {
-            self.read(&store, |node| {
-                let (store, key) = (store.clone(), key.clone());
-                Box::pin(async move { node.get(store, key).await })
-            })
-            .await
-        })
-    }
-
-    fn list(&self, store: StoreId) -> BoxFuture<'_, Result<(Vec<StoredObject>, Revision)>> {
-        Box::pin(async move {
-            self.read(&store, |node| {
-                let store = store.clone();
-                Box::pin(async move { node.list(store).await })
-            })
-            .await
-        })
-    }
-
-    fn update(
-        &self,
-        store: StoreId,
-        key: ObjectKey,
-        value: Value,
-        expected: Option<Revision>,
-    ) -> BoxFuture<'_, Result<Revision>> {
-        Box::pin(async move {
-            let result = self
-                .lead(|node, attempt| {
-                    let (store, key, value) = (store.clone(), key.clone(), value.clone());
-                    Box::pin(async move {
-                        match node
-                            .update(store.clone(), key.clone(), value.clone(), expected)
-                            .await
-                        {
-                            // OCC conflict on a routing retry: if the store
-                            // already holds exactly our value, the lost ack
-                            // was ours.
-                            Err(Error::Conflict { .. }) if attempt > 0 && expected.is_some() => {
-                                let existing = node.get(store, key).await?;
-                                if *existing.value == value {
-                                    Ok(existing.revision)
-                                } else {
-                                    Err(Error::Conflict {
-                                        expected: expected.map(|r| r.0).unwrap_or(0),
-                                        actual: existing.revision.0,
-                                    })
-                                }
-                            }
-                            other => other,
-                        }
-                    })
-                })
-                .await?;
-            self.note_write(&store, result);
-            Ok(result)
-        })
-    }
-
-    fn patch(
-        &self,
-        store: StoreId,
-        key: ObjectKey,
-        patch: Value,
-        upsert: bool,
-    ) -> BoxFuture<'_, Result<Revision>> {
-        Box::pin(async move {
-            // A patch is naturally idempotent across routing retries: the
-            // store's no-op suppression absorbs a re-merge of content that
-            // already landed.
-            let result = self
-                .lead(|node, _| {
-                    let (store, key, patch) = (store.clone(), key.clone(), patch.clone());
-                    Box::pin(async move { node.patch(store, key, patch, upsert).await })
-                })
-                .await?;
-            self.note_write(&store, result);
-            Ok(result)
-        })
-    }
-
-    fn delete(&self, store: StoreId, key: ObjectKey) -> BoxFuture<'_, Result<Revision>> {
-        Box::pin(async move {
-            let result = self
-                .lead(|node, attempt| {
-                    let (store, key) = (store.clone(), key.clone());
-                    Box::pin(async move {
-                        match node.delete(store, key).await {
-                            // Our earlier attempt may have deleted it before
-                            // the ack was lost: report the store's revision.
-                            Err(Error::NotFound(_)) if attempt > 0 => Err(Error::NotFound(
-                                "deleted (ack lost in failover)".to_string(),
-                            )),
-                            other => other,
-                        }
-                    })
-                })
-                .await?;
-            self.note_write(&store, result);
-            Ok(result)
-        })
-    }
-
-    fn batch_get(
-        &self,
-        store: StoreId,
-        keys: Vec<ObjectKey>,
-    ) -> BoxFuture<'_, Result<Vec<ItemResult>>> {
-        Box::pin(async move {
-            self.read(&store, |node| {
-                let (store, keys) = (store.clone(), keys.clone());
-                Box::pin(async move { node.batch_get(store, keys).await })
-            })
-            .await
-        })
-    }
-
-    fn batch_put(
-        &self,
-        store: StoreId,
-        items: Vec<PutItem>,
-    ) -> BoxFuture<'_, Result<Vec<ItemResult>>> {
-        Box::pin(async move {
-            let results = self
-                .lead(|node, _| {
-                    let (store, items) = (store.clone(), items.clone());
-                    Box::pin(async move { node.batch_put(store, items).await })
-                })
-                .await?;
-            if let Some(high) = results.iter().filter_map(item_revision).max() {
-                self.note_write(&store, high);
-            }
-            Ok(results)
-        })
-    }
-
-    fn batch_commit(
-        &self,
-        store: StoreId,
-        ops: Vec<BatchOp>,
-    ) -> BoxFuture<'_, Result<Vec<ItemResult>>> {
-        Box::pin(async move {
-            let results = self
-                .lead(|node, _| {
-                    let (store, ops) = (store.clone(), ops.clone());
-                    Box::pin(async move { node.batch_commit(store, ops).await })
-                })
-                .await?;
-            if let Some(high) = results.iter().filter_map(item_revision).max() {
-                self.note_write(&store, high);
-            }
-            Ok(results)
-        })
-    }
-
-    fn register_consumer(
-        &self,
-        store: StoreId,
-        key: ObjectKey,
-        consumer: String,
-    ) -> BoxFuture<'_, Result<()>> {
-        Box::pin(async move {
-            self.lead(|node, _| {
-                let (store, key, consumer) = (store.clone(), key.clone(), consumer.clone());
-                Box::pin(async move { node.register_consumer(store, key, consumer).await })
-            })
-            .await
-        })
-    }
-
-    fn mark_processed(
-        &self,
-        store: StoreId,
-        key: ObjectKey,
-        consumer: String,
-    ) -> BoxFuture<'_, Result<Vec<ObjectKey>>> {
-        Box::pin(async move {
-            self.lead(|node, _| {
-                let (store, key, consumer) = (store.clone(), key.clone(), consumer.clone());
-                Box::pin(async move { node.mark_processed(store, key, consumer).await })
-            })
-            .await
-        })
+    /// Leader first, then the rest; `AlreadyExists` from a member that
+    /// restarted with surviving state is tolerated.
+    async fn broadcast(&self, request: &Request) -> Result<Response> {
+        let leader = self.leader_index();
+        let mut order: Vec<usize> = (0..self.nodes.len()).collect();
+        order.sort_by_key(|i| *i != leader);
+        for idx in order {
+            let node = &self.nodes[idx];
+            let outcome = node.call(request.clone()).await;
+            recover_lost_ack(&**node, request, outcome, 0).await?;
+        }
+        Ok(Response::Ok)
     }
 
     /// Watch through the replica set, surviving node loss: the stream
-    /// rides one node's resilient watch until that node dies, then
+    /// rides one node's (resilient) watch until that node dies, then
     /// resumes from the router's own `last_seen` cursor on another
     /// member — deduplicating the overlap and verifying the dense
     /// revision sequence, exactly like the single-node resume protocol.
@@ -973,216 +791,69 @@ impl ExchangeApi for ReplicaRouter {
     /// Watches prefer replicas: a replica only ever fans out *applied
     /// replicated* state, so a promotion can never retract an event this
     /// stream delivered.
-    fn watch(&self, store: StoreId, from: Revision) -> BoxFuture<'_, Result<WatchRx>> {
-        Box::pin(async move {
-            let nodes = self.nodes.clone();
-            let leader = self.leader.load(Ordering::Acquire);
-            let start = watch_node_order(nodes.len(), leader);
-            // Establish eagerly so immediate errors surface to the caller.
-            let (mut current, mut inner) = establish_watch(&nodes, &start, &store, from).await?;
-            let (tx, rx) = mpsc::unbounded_channel();
-            let store_id = store.clone();
-            tokio::spawn(async move {
-                let mut last_seen = from;
-                loop {
-                    match inner.recv().await {
-                        Some(event) => {
-                            if event.revision <= last_seen {
-                                continue; // resubscription overlap
-                            }
-                            if event.revision.0 > last_seen.0 + 1 {
-                                // Gap on the live stream: resume from the
-                                // cursor rather than deliver a hole.
-                                match establish_watch(
-                                    &nodes,
-                                    &rotation(nodes.len(), current),
-                                    &store_id,
-                                    last_seen,
-                                )
-                                .await
-                                {
-                                    Ok((node, stream)) => {
-                                        current = node;
-                                        inner = stream;
-                                        continue;
-                                    }
-                                    Err(_) => break,
-                                }
-                            }
-                            last_seen = event.revision;
-                            if tx.send(event).is_err() {
-                                return; // consumer gone
-                            }
+    async fn failover_watch(&self, store: StoreId, from: Revision) -> Result<WatchRx> {
+        let nodes = self.nodes.clone();
+        let start = rotation(nodes.len(), self.leader_index());
+        // Establish eagerly so immediate errors surface to the caller.
+        let (mut current, mut inner) = establish_watch(&nodes, &start, &store, from).await?;
+        let (tx, rx) = mpsc::unbounded_channel();
+        tokio::spawn(async move {
+            let mut last_seen = from;
+            loop {
+                match inner.recv().await {
+                    Some(event) if event.revision <= last_seen => continue, // resubscription overlap
+                    Some(event) if event.revision.0 == last_seen.0 + 1 => {
+                        last_seen = event.revision;
+                        if tx.send(event).is_err() {
+                            return; // consumer gone
                         }
-                        None => {
-                            // This node's resilient watch gave up (node
-                            // dead): resume on the next member.
-                            match establish_watch(
-                                &nodes,
-                                &rotation(nodes.len(), current),
-                                &store_id,
-                                last_seen,
-                            )
-                            .await
-                            {
-                                Ok((node, stream)) => {
-                                    current = node;
-                                    inner = stream;
-                                }
-                                Err(_) => break,
-                            }
-                        }
+                        continue;
                     }
+                    // A gap on the live stream (resume from the cursor rather
+                    // than deliver a hole), or this node's watch gave up
+                    // (node dead): resume on the next member.
+                    _ => {}
                 }
-            });
-            Ok(rx)
-        })
-    }
-
-    fn register_schema(&self, schema: Schema) -> BoxFuture<'_, Result<()>> {
-        Box::pin(async move {
-            self.lead(|node, _| {
-                let schema = schema.clone();
-                Box::pin(async move { node.register_schema(schema).await })
-            })
-            .await
-        })
-    }
-
-    fn bind_schema(&self, store: StoreId, schema: SchemaName) -> BoxFuture<'_, Result<()>> {
-        Box::pin(async move {
-            self.lead(|node, _| {
-                let (store, schema) = (store.clone(), schema.clone());
-                Box::pin(async move { node.bind_schema(store, schema).await })
-            })
-            .await
-        })
-    }
-
-    fn get_schema(&self, schema: SchemaName) -> BoxFuture<'_, Result<Schema>> {
-        Box::pin(async move {
-            self.lead(|node, _| {
-                let schema = schema.clone();
-                Box::pin(async move { node.get_schema(schema).await })
-            })
-            .await
-        })
-    }
-
-    fn register_udf(
-        &self,
-        name: String,
-        inputs: Vec<String>,
-        assignments: Vec<UdfAssignment>,
-    ) -> BoxFuture<'_, Result<()>> {
-        Box::pin(async move {
-            self.lead(|node, _| {
-                let (name, inputs, assignments) =
-                    (name.clone(), inputs.clone(), assignments.clone());
-                Box::pin(async move { node.register_udf(name, inputs, assignments).await })
-            })
-            .await
-        })
-    }
-
-    fn execute_udf(
-        &self,
-        name: String,
-        bindings: Vec<UdfBinding>,
-    ) -> BoxFuture<'_, Result<Vec<(StoreId, Revision)>>> {
-        Box::pin(async move {
-            let revisions = self
-                .lead(|node, _| {
-                    let (name, bindings) = (name.clone(), bindings.clone());
-                    Box::pin(async move { node.execute_udf(name, bindings).await })
-                })
-                .await?;
-            for (store, rev) in &revisions {
-                self.note_write(store, *rev);
+                let order = rotation(nodes.len(), current);
+                match establish_watch(&nodes, &order, &store, last_seen).await {
+                    Ok((node, stream)) => {
+                        current = node;
+                        inner = stream;
+                    }
+                    Err(_) => break,
+                }
             }
-            Ok(revisions)
-        })
+        });
+        Ok(rx)
     }
+}
 
-    fn transact(&self, ops: Vec<TxOp>) -> BoxFuture<'_, Result<Vec<(StoreId, Revision)>>> {
+impl Exchange for ReplicaRouter {
+    fn call(&self, request: Request) -> BoxFuture<'_, Result<Response>> {
         Box::pin(async move {
-            let revisions = self
-                .lead(|node, _| {
-                    let ops = ops.clone();
-                    Box::pin(async move { node.transact(ops).await })
-                })
-                .await?;
-            for (store, rev) in &revisions {
-                self.note_write(store, *rev);
+            match route(&request) {
+                Route::Broadcast => self.broadcast(&request).await,
+                Route::Replica(store) => self.read(store, &request).await,
+                Route::Leader => {
+                    let response = self.lead(&request).await?;
+                    self.note_writes(&request, &response);
+                    Ok(response)
+                }
             }
-            Ok(revisions)
         })
     }
 
-    // Log stores are not replicated (ROADMAP: Object-DE first); log
-    // traffic rides the leader like any single-node deployment.
-    fn log_create_store(&self, store: StoreId) -> BoxFuture<'_, Result<()>> {
+    fn open_watch(&self, request: Request) -> BoxFuture<'_, Result<WatchRx>> {
         Box::pin(async move {
-            self.lead(|node, _| {
-                let store = store.clone();
-                Box::pin(async move { node.log_create_store(store).await })
-            })
-            .await
+            match request {
+                Request::Watch { store, from } => self.failover_watch(store, from).await,
+                other => Err(misrouted(&other, "ReplicaRouter::open_watch")),
+            }
         })
     }
 
-    fn log_append(&self, store: StoreId, fields: Value) -> BoxFuture<'_, Result<u64>> {
-        Box::pin(async move {
-            self.lead(|node, _| {
-                let (store, fields) = (store.clone(), fields.clone());
-                Box::pin(async move { node.log_append(store, fields).await })
-            })
-            .await
-        })
-    }
-
-    fn log_append_batch(&self, store: StoreId, batch: Vec<Value>) -> BoxFuture<'_, Result<u64>> {
-        Box::pin(async move {
-            self.lead(|node, _| {
-                let (store, batch) = (store.clone(), batch.clone());
-                Box::pin(async move { node.log_append_batch(store, batch).await })
-            })
-            .await
-        })
-    }
-
-    fn log_read(&self, store: StoreId, from: u64) -> BoxFuture<'_, Result<Vec<LogRecord>>> {
-        Box::pin(async move {
-            self.lead(|node, _| {
-                let store = store.clone();
-                Box::pin(async move { node.log_read(store, from).await })
-            })
-            .await
-        })
-    }
-
-    fn log_query(&self, store: StoreId, query: QuerySpec) -> BoxFuture<'_, Result<Vec<Value>>> {
-        Box::pin(async move {
-            self.lead(|node, _| {
-                let (store, query) = (store.clone(), query.clone());
-                Box::pin(async move { node.log_query(store, query).await })
-            })
-            .await
-        })
-    }
-
-    fn log_tail(&self, store: StoreId, from: u64) -> BoxFuture<'_, Result<TailRx>> {
-        Box::pin(async move {
-            let idx = self.leader.load(Ordering::Acquire);
-            self.nodes[idx].log_tail(store, from).await
-        })
-    }
-
-    fn metrics(&self) -> BoxFuture<'_, Result<knactor_types::metrics::MetricsSnapshot>> {
-        Box::pin(async move {
-            let idx = self.leader.load(Ordering::Acquire);
-            self.nodes[idx].metrics().await
-        })
+    fn open_tail(&self, request: Request) -> BoxFuture<'_, Result<TailRx>> {
+        self.leader_node().open_tail(request)
     }
 }
 
@@ -1193,25 +864,18 @@ fn item_revision(item: &ItemResult) -> Option<Revision> {
     }
 }
 
-/// Watch-node preference order: replicas first (leader last), so the
-/// stream observes only replicated state.
-fn watch_node_order(n: usize, leader: usize) -> Vec<usize> {
-    let mut order: Vec<usize> = (0..n).filter(|i| *i != leader).collect();
-    order.push(leader);
-    order
-}
-
-/// Resume order after node `current` failed: everyone else first, then
-/// `current` again as the last resort.
-fn rotation(n: usize, current: usize) -> Vec<usize> {
-    let mut order: Vec<usize> = (0..n).filter(|i| *i != current).collect();
-    order.push(current);
+/// Every node but `last`, then `last`: the watch preference order with
+/// the leader last (so the stream observes only replicated state), and
+/// the resume order after node `last` failed (it is the last resort).
+fn rotation(n: usize, last: usize) -> Vec<usize> {
+    let mut order: Vec<usize> = (0..n).filter(|i| *i != last).collect();
+    order.push(last);
     order
 }
 
 /// Try the given nodes in order until one yields a watch stream.
 async fn establish_watch(
-    nodes: &[Arc<ResilientClient>],
+    nodes: &[Arc<dyn Exchange>],
     order: &[usize],
     store: &StoreId,
     from: Revision,
@@ -1285,7 +949,7 @@ impl ReplicatedExchange {
         for (i, server) in servers.into_iter().enumerate() {
             let name = format!("node-{i}");
             let follower = if i > 0 {
-                let loopback: Arc<dyn ExchangeApi> = Arc::new(
+                let loopback: Arc<dyn Exchange> = Arc::new(
                     LoopbackClient::new(
                         Arc::clone(&server.object),
                         Arc::clone(&server.log),
@@ -1298,7 +962,7 @@ impl ReplicatedExchange {
                         let mut plan = *plan;
                         // One independent deterministic stream per node.
                         plan.seed = plan.seed.wrapping_add(i as u64);
-                        Arc::new(FaultApi::new(loopback, plan)) as Arc<dyn ExchangeApi>
+                        Arc::new(FaultApi::new(loopback, plan)) as Arc<dyn Exchange>
                     }
                     None => loopback,
                 };

@@ -1,8 +1,8 @@
 //! The sharded multi-node exchange: N independent shard nodes behind one
-//! [`ExchangeApi`].
+//! [`Exchange`].
 //!
-//! A [`ShardRouter`] owns a versioned [`ShardMap`] plus one client per
-//! shard node and implements the whole [`ExchangeApi`] by routing:
+//! A [`ShardRouter`] owns a versioned [`ShardMap`] plus one child
+//! [`Exchange`] per shard node, and is a routing table over [`Request`]s:
 //!
 //! * **Key-routed ops** (create/get/update/patch/delete, consumer
 //!   registration) go to the shard that owns `(store, key)` under the
@@ -37,25 +37,22 @@
 //! the standard list-then-watch fallback that `ResilientClient` and Cast
 //! already implement.
 //!
-//! Because per-shard clients are themselves `ExchangeApi` values, the
-//! router composes with the rest of the stack: over TCP each shard client
-//! is typically a [`crate::ResilientClient`], which gives per-shard
-//! retry, per-op idempotent disambiguation, and per-shard watch resume —
-//! so one flaky shard is retried without re-sending the other shards'
-//! sub-batches.
+//! Because per-shard children are themselves `Exchange` values, the
+//! router composes with the rest of the stack: over TCP each child is
+//! typically a [`crate::ResilientClient`] (per-shard retry, lost-ack
+//! recovery, and watch resume — so one flaky shard is retried without
+//! re-sending the other shards' sub-batches) or a whole
+//! [`crate::ReplicaRouter`] (a replica set per shard).
 
-use crate::api::{BoxFuture, ExchangeApi, TailRx, WatchRx};
+use crate::api::{misrouted, BoxFuture, Exchange, ExchangeApi, TailRx, WatchRx};
 use crate::client::{ResilientClient, RetryPolicy, TcpClient};
-use crate::proto::{ProfileSpec, QuerySpec};
+use crate::proto::{Request, Response};
 use crate::server::ExchangeServer;
-use knactor_logstore::{LogExchange, LogRecord};
+use knactor_logstore::LogExchange;
 use knactor_rbac::Subject;
-use knactor_store::udf::UdfAssignment;
-use knactor_store::{
-    BatchOp, DataExchange, ItemResult, ShardMap, StoredObject, TxOp, UdfBinding, WatchEvent,
-};
+use knactor_store::{BatchOp, DataExchange, ItemResult, ShardMap, WatchEvent};
 use knactor_types::metrics::{CounterSnapshot, GaugeSnapshot, HistogramSnapshot, MetricsSnapshot};
-use knactor_types::{Error, ObjectKey, Result, Revision, Schema, SchemaName, StoreId, Value};
+use knactor_types::{Error, ObjectKey, Result, Revision, StoreId};
 use parking_lot::Mutex;
 use std::collections::{BTreeMap, HashMap};
 use std::net::SocketAddr;
@@ -83,7 +80,7 @@ fn remember_cursor(cache: &CursorCache, store: &StoreId, virtual_rev: u64, shard
 /// One logical exchange spread over N shard nodes.
 pub struct ShardRouter {
     map: Arc<ShardMap>,
-    shards: Vec<Arc<dyn ExchangeApi>>,
+    shards: Vec<Arc<dyn Exchange>>,
     cursors: Arc<CursorCache>,
 }
 
@@ -91,7 +88,7 @@ impl ShardRouter {
     /// Route through the given per-shard clients. The client at index
     /// `i` must reach the node named `map.nodes()[i]`. Panics on a
     /// count mismatch; [`ShardRouter::try_new`] returns it typed.
-    pub fn new(map: ShardMap, shards: Vec<Arc<dyn ExchangeApi>>) -> ShardRouter {
+    pub fn new(map: ShardMap, shards: Vec<Arc<dyn Exchange>>) -> ShardRouter {
         ShardRouter::try_new(map, shards).expect("shard map / client count mismatch")
     }
 
@@ -104,7 +101,7 @@ impl ShardRouter {
     /// data migration this layer does not perform — see DESIGN.md §9).
     /// Mid-flight topology changes therefore surface as this typed
     /// error at the next construction, never as a silent misroute.
-    pub fn try_new(map: ShardMap, shards: Vec<Arc<dyn ExchangeApi>>) -> Result<ShardRouter> {
+    pub fn try_new(map: ShardMap, shards: Vec<Arc<dyn Exchange>>) -> Result<ShardRouter> {
         if map.shard_count() != shards.len() {
             return Err(Error::Internal(format!(
                 "shard map names {} nodes but {} clients were supplied",
@@ -133,7 +130,7 @@ impl ShardRouter {
         ));
         let mut objects = Vec::with_capacity(shards);
         let mut logs = Vec::with_capacity(shards);
-        let mut clients: Vec<Arc<dyn ExchangeApi>> = Vec::with_capacity(shards);
+        let mut clients: Vec<Arc<dyn Exchange>> = Vec::with_capacity(shards);
         for i in 0..shards {
             let object = Arc::new(DataExchange::new());
             let log = Arc::new(LogExchange::new());
@@ -160,7 +157,7 @@ impl ShardRouter {
         addrs: &[SocketAddr],
         subject: Subject,
     ) -> Result<ShardRouter> {
-        let mut shards: Vec<Arc<dyn ExchangeApi>> = Vec::with_capacity(addrs.len());
+        let mut shards: Vec<Arc<dyn Exchange>> = Vec::with_capacity(addrs.len());
         for addr in addrs {
             shards.push(Arc::new(TcpClient::connect(*addr, subject.clone()).await?));
         }
@@ -176,7 +173,7 @@ impl ShardRouter {
         subject: Subject,
         policy: RetryPolicy,
     ) -> Result<ShardRouter> {
-        let mut shards: Vec<Arc<dyn ExchangeApi>> = Vec::with_capacity(addrs.len());
+        let mut shards: Vec<Arc<dyn Exchange>> = Vec::with_capacity(addrs.len());
         for addr in addrs {
             shards.push(Arc::new(
                 ResilientClient::connect(*addr, subject.clone(), policy).await?,
@@ -203,12 +200,50 @@ impl ShardRouter {
         self.map.owner_of_store(store.as_str())
     }
 
-    fn key_shard(&self, store: &StoreId, key: &ObjectKey) -> &Arc<dyn ExchangeApi> {
-        &self.shards[self.shard_of_key(store, key)]
+    /// The one shard every `(store, key)` of an atomic request lives on
+    /// (shard 0 for an empty request), or the typed cross-shard refusal.
+    fn single_shard<'a>(
+        &self,
+        what: &str,
+        mut keys: impl Iterator<Item = (&'a StoreId, &'a ObjectKey)>,
+    ) -> Result<usize> {
+        let Some((first_store, first_key)) = keys.next() else {
+            return Ok(0);
+        };
+        let shard = self.shard_of_key(first_store, first_key);
+        for (store, key) in keys {
+            let s = self.shard_of_key(store, key);
+            if s != shard {
+                return Err(Error::Internal(format!(
+                    "cross-shard {what}: {first_store}/{first_key} lives on shard {shard} but \
+                     {store}/{key} on shard {s}; it executes atomically only within one shard"
+                )));
+            }
+        }
+        Ok(shard)
     }
 
-    fn store_shard(&self, store: &StoreId) -> &Arc<dyn ExchangeApi> {
-        &self.shards[self.shard_of_store(store)]
+    /// Split a batch by owning shard and scatter it; `call` runs one
+    /// shard's sub-batch.
+    async fn scatter_by_key<P, F>(
+        &self,
+        store: &StoreId,
+        payloads: Vec<P>,
+        key_of: fn(&P) -> &ObjectKey,
+        call: F,
+    ) -> Response
+    where
+        P: Send + 'static,
+        F: Fn(Arc<dyn Exchange>, Vec<P>) -> BoxFuture<'static, Result<Vec<ItemResult>>>,
+    {
+        let total = payloads.len();
+        let mut chunks: Vec<Vec<(usize, P)>> = (0..self.shards.len()).map(|_| Vec::new()).collect();
+        for (i, payload) in payloads.into_iter().enumerate() {
+            chunks[self.shard_of_key(store, key_of(&payload))].push((i, payload));
+        }
+        Response::Batch {
+            items: self.scatter_items(total, chunks, call).await,
+        }
     }
 
     /// Scatter a batch split across shards and merge per-item results
@@ -222,7 +257,7 @@ impl ShardRouter {
     ) -> Vec<ItemResult>
     where
         P: Send + 'static,
-        F: Fn(Arc<dyn ExchangeApi>, Vec<P>) -> BoxFuture<'static, Result<Vec<ItemResult>>>,
+        F: Fn(Arc<dyn Exchange>, Vec<P>) -> BoxFuture<'static, Result<Vec<ItemResult>>>,
     {
         // Fast path: the whole batch lands on one shard (the common case
         // for partition-aligned producers and small key ranges). Call it
@@ -288,342 +323,219 @@ impl ShardRouter {
     }
 }
 
-impl ExchangeApi for ShardRouter {
-    // ---- broadcast ops: every shard may come to own this store's keys ----
+impl ShardRouter {
+    async fn scatter_commit(&self, store: StoreId, ops: Vec<BatchOp>) -> Response {
+        let target = store.clone();
+        let call = move |api: Arc<dyn Exchange>, ops| -> BoxFuture<'static, _> {
+            let store = target.clone();
+            Box::pin(async move { api.batch_commit(store, ops).await })
+        };
+        self.scatter_by_key(&store, ops, BatchOp::key, call).await
+    }
 
-    fn create_store(&self, store: StoreId, profile: ProfileSpec) -> BoxFuture<'_, Result<()>> {
-        Box::pin(async move {
-            for shard in &self.shards {
-                shard.create_store(store.clone(), profile.clone()).await?;
-            }
-            Ok(())
+    /// Scatter-gathered listing with the virtual (summed) revision.
+    async fn gather_list(&self, store: StoreId) -> Result<Response> {
+        let mut handles = Vec::with_capacity(self.shards.len());
+        for shard in &self.shards {
+            let api = Arc::clone(shard);
+            let store = store.clone();
+            handles.push(tokio::spawn(async move { api.list(store).await }));
+        }
+        let mut objects = Vec::new();
+        let mut shard_revs = vec![0u64; self.shards.len()];
+        for (i, handle) in handles.into_iter().enumerate() {
+            let (objs, rev) = handle
+                .await
+                .unwrap_or_else(|_| Err(Error::Internal("shard list task died".into())))?;
+            shard_revs[i] = rev.0;
+            objects.extend(objs);
+        }
+        objects.sort_by(|a, b| a.key.cmp(&b.key));
+        let virtual_rev: u64 = shard_revs.iter().sum();
+        // A listing is a resume point: remember its decomposition so
+        // the list-then-watch fallback can pick up from here.
+        remember_cursor(&self.cursors, &store, virtual_rev, shard_revs);
+        Ok(Response::Objects {
+            objects,
+            revision: Revision(virtual_rev),
         })
     }
 
-    fn register_schema(&self, schema: Schema) -> BoxFuture<'_, Result<()>> {
-        Box::pin(async move {
-            for shard in &self.shards {
-                shard.register_schema(schema.clone()).await?;
-            }
-            Ok(())
-        })
-    }
-
-    fn bind_schema(&self, store: StoreId, schema: SchemaName) -> BoxFuture<'_, Result<()>> {
-        Box::pin(async move {
-            for shard in &self.shards {
-                shard.bind_schema(store.clone(), schema.clone()).await?;
-            }
-            Ok(())
-        })
-    }
-
-    fn get_schema(&self, schema: SchemaName) -> BoxFuture<'_, Result<Schema>> {
-        // Registration broadcast to all shards, so any shard can answer.
-        self.shards[0].get_schema(schema)
-    }
-
-    fn register_udf(
-        &self,
-        name: String,
-        inputs: Vec<String>,
-        assignments: Vec<UdfAssignment>,
-    ) -> BoxFuture<'_, Result<()>> {
-        Box::pin(async move {
-            for shard in &self.shards {
-                shard
-                    .register_udf(name.clone(), inputs.clone(), assignments.clone())
-                    .await?;
-            }
-            Ok(())
-        })
-    }
-
-    // ---- key-routed ops ----
-
-    fn create(
-        &self,
-        store: StoreId,
-        key: ObjectKey,
-        value: Value,
-    ) -> BoxFuture<'_, Result<Revision>> {
-        self.key_shard(&store, &key).create(store, key, value)
-    }
-
-    fn get(&self, store: StoreId, key: ObjectKey) -> BoxFuture<'_, Result<StoredObject>> {
-        self.key_shard(&store, &key).get(store, key)
-    }
-
-    fn update(
-        &self,
-        store: StoreId,
-        key: ObjectKey,
-        value: Value,
-        expected: Option<Revision>,
-    ) -> BoxFuture<'_, Result<Revision>> {
-        self.key_shard(&store, &key)
-            .update(store, key, value, expected)
-    }
-
-    fn patch(
-        &self,
-        store: StoreId,
-        key: ObjectKey,
-        patch: Value,
-        upsert: bool,
-    ) -> BoxFuture<'_, Result<Revision>> {
-        self.key_shard(&store, &key)
-            .patch(store, key, patch, upsert)
-    }
-
-    fn delete(&self, store: StoreId, key: ObjectKey) -> BoxFuture<'_, Result<Revision>> {
-        self.key_shard(&store, &key).delete(store, key)
-    }
-
-    fn register_consumer(
-        &self,
-        store: StoreId,
-        key: ObjectKey,
-        consumer: String,
-    ) -> BoxFuture<'_, Result<()>> {
-        self.key_shard(&store, &key)
-            .register_consumer(store, key, consumer)
-    }
-
-    fn mark_processed(
-        &self,
-        store: StoreId,
-        key: ObjectKey,
-        consumer: String,
-    ) -> BoxFuture<'_, Result<Vec<ObjectKey>>> {
-        self.key_shard(&store, &key)
-            .mark_processed(store, key, consumer)
-    }
-
-    // ---- scatter-gather ----
-
-    fn list(&self, store: StoreId) -> BoxFuture<'_, Result<(Vec<StoredObject>, Revision)>> {
-        Box::pin(async move {
-            let mut handles = Vec::with_capacity(self.shards.len());
-            for shard in &self.shards {
-                let api = Arc::clone(shard);
-                let store = store.clone();
-                handles.push(tokio::spawn(async move { api.list(store).await }));
-            }
-            let mut objects = Vec::new();
-            let mut shard_revs = vec![0u64; self.shards.len()];
-            for (i, handle) in handles.into_iter().enumerate() {
-                let (objs, rev) = handle
-                    .await
-                    .unwrap_or_else(|_| Err(Error::Internal("shard list task died".into())))?;
-                shard_revs[i] = rev.0;
-                objects.extend(objs);
-            }
-            objects.sort_by(|a, b| a.key.cmp(&b.key));
-            let virtual_rev: u64 = shard_revs.iter().sum();
-            // A listing is a resume point: remember its decomposition so
-            // the list-then-watch fallback can pick up from here.
-            remember_cursor(&self.cursors, &store, virtual_rev, shard_revs);
-            Ok((objects, Revision(virtual_rev)))
-        })
-    }
-
-    fn batch_get(
-        &self,
-        store: StoreId,
-        keys: Vec<ObjectKey>,
-    ) -> BoxFuture<'_, Result<Vec<ItemResult>>> {
-        Box::pin(async move {
-            let total = keys.len();
-            let mut chunks: Vec<Vec<(usize, ObjectKey)>> =
-                (0..self.shards.len()).map(|_| Vec::new()).collect();
-            for (i, key) in keys.into_iter().enumerate() {
-                chunks[self.shard_of_key(&store, &key)].push((i, key));
-            }
-            Ok(self
-                .scatter_items(total, chunks, move |api, keys| {
-                    let store = store.clone();
-                    Box::pin(async move { api.batch_get(store, keys).await })
-                })
-                .await)
-        })
-    }
-
-    fn batch_commit(
-        &self,
-        store: StoreId,
-        ops: Vec<BatchOp>,
-    ) -> BoxFuture<'_, Result<Vec<ItemResult>>> {
-        Box::pin(async move {
-            let total = ops.len();
-            let mut chunks: Vec<Vec<(usize, BatchOp)>> =
-                (0..self.shards.len()).map(|_| Vec::new()).collect();
-            for (i, op) in ops.into_iter().enumerate() {
-                chunks[self.shard_of_key(&store, op.key())].push((i, op));
-            }
-            Ok(self
-                .scatter_items(total, chunks, move |api, ops| {
-                    let store = store.clone();
-                    Box::pin(async move { api.batch_commit(store, ops).await })
-                })
-                .await)
-        })
-    }
-
-    // ---- merged watch ----
-
-    fn watch(&self, store: StoreId, from: Revision) -> BoxFuture<'_, Result<WatchRx>> {
-        Box::pin(async move {
-            let n = self.shards.len();
-            let start: Vec<u64> = if from.0 == 0 {
-                vec![0; n]
-            } else {
-                let found = self
-                    .cursors
-                    .lock()
-                    .get(&store)
-                    .and_then(|per| per.get(&from.0))
-                    .cloned();
-                match found {
-                    Some(revs) => revs,
-                    None => {
-                        // We no longer remember how `from` decomposes
-                        // into per-shard cursors; send the caller through
-                        // the standard re-list fallback (its `list` will
-                        // seed a fresh decomposition).
-                        let oldest = self
-                            .cursors
-                            .lock()
-                            .get(&store)
-                            .and_then(|per| per.keys().next().copied())
-                            .unwrap_or(0);
-                        return Err(Error::WatchTooOld {
-                            from: from.0,
-                            oldest,
-                        });
-                    }
+    /// One subscription over every shard's stream, renumbered with dense
+    /// virtual revisions (module docs).
+    async fn merged_watch(&self, store: StoreId, from: Revision) -> Result<WatchRx> {
+        let n = self.shards.len();
+        let start: Vec<u64> = if from.0 == 0 {
+            vec![0; n]
+        } else {
+            let found = self
+                .cursors
+                .lock()
+                .get(&store)
+                .and_then(|per| per.get(&from.0))
+                .cloned();
+            match found {
+                Some(revs) => revs,
+                None => {
+                    // We no longer remember how `from` decomposes
+                    // into per-shard cursors; send the caller through
+                    // the standard re-list fallback (its `list` will
+                    // seed a fresh decomposition).
+                    let oldest = self
+                        .cursors
+                        .lock()
+                        .get(&store)
+                        .and_then(|per| per.keys().next().copied())
+                        .unwrap_or(0);
+                    return Err(Error::WatchTooOld {
+                        from: from.0,
+                        oldest,
+                    });
                 }
-            };
-
-            // Subscribe every shard before forwarding anything, so no
-            // shard's events race the subscription of another.
-            let (merge_tx, mut merge_rx) = mpsc::unbounded_channel::<(usize, WatchEvent)>();
-            for (i, &cursor) in start.iter().enumerate() {
-                let mut sub = self.shards[i]
-                    .watch(store.clone(), Revision(cursor))
-                    .await?;
-                let tx = merge_tx.clone();
-                tokio::spawn(async move {
-                    while let Some(event) = sub.recv().await {
-                        if tx.send((i, event)).is_err() {
-                            break;
-                        }
-                    }
-                });
             }
-            drop(merge_tx);
+        };
 
-            let (out_tx, out_rx) = mpsc::unbounded_channel();
-            let cursors = Arc::clone(&self.cursors);
-            let mut shard_revs = start;
-            let mut virtual_rev = from.0;
+        // Subscribe every shard before forwarding anything, so no
+        // shard's events race the subscription of another.
+        let (merge_tx, mut merge_rx) = mpsc::unbounded_channel::<(usize, WatchEvent)>();
+        for (i, &cursor) in start.iter().enumerate() {
+            let mut sub = self.shards[i]
+                .watch(store.clone(), Revision(cursor))
+                .await?;
+            let tx = merge_tx.clone();
             tokio::spawn(async move {
-                while let Some((shard, mut event)) = merge_rx.recv().await {
-                    shard_revs[shard] = event.revision.0;
-                    virtual_rev += 1;
-                    event.revision = Revision(virtual_rev);
-                    remember_cursor(&cursors, &store, virtual_rev, shard_revs.clone());
-                    if out_tx.send(event).is_err() {
+                while let Some(event) = sub.recv().await {
+                    if tx.send((i, event)).is_err() {
                         break;
                     }
                 }
             });
-            Ok(out_rx)
-        })
-    }
+        }
+        drop(merge_tx);
 
-    // ---- single-shard-only ops ----
-
-    fn transact(&self, ops: Vec<TxOp>) -> BoxFuture<'_, Result<Vec<(StoreId, Revision)>>> {
-        Box::pin(async move {
-            let Some(first) = ops.first() else {
-                return Ok(Vec::new());
-            };
-            let shard = self.shard_of_key(&first.store, &first.key);
-            for op in &ops {
-                let s = self.shard_of_key(&op.store, &op.key);
-                if s != shard {
-                    return Err(Error::Internal(format!(
-                        "cross-shard transact: {}/{} lives on shard {shard} but {}/{} on shard \
-                         {s}; transactions are atomic only within one shard",
-                        first.store, first.key, op.store, op.key
-                    )));
+        let (out_tx, out_rx) = mpsc::unbounded_channel();
+        let cursors = Arc::clone(&self.cursors);
+        let mut shard_revs = start;
+        let mut virtual_rev = from.0;
+        tokio::spawn(async move {
+            while let Some((shard, mut event)) = merge_rx.recv().await {
+                shard_revs[shard] = event.revision.0;
+                virtual_rev += 1;
+                event.revision = Revision(virtual_rev);
+                remember_cursor(&cursors, &store, virtual_rev, shard_revs.clone());
+                if out_tx.send(event).is_err() {
+                    break;
                 }
             }
-            self.shards[shard].transact(ops).await
-        })
+        });
+        Ok(out_rx)
     }
+}
 
-    fn execute_udf(
-        &self,
-        name: String,
-        bindings: Vec<UdfBinding>,
-    ) -> BoxFuture<'_, Result<Vec<(StoreId, Revision)>>> {
+/// The routing table: where each [`Request`] goes.
+impl Exchange for ShardRouter {
+    fn call(&self, request: Request) -> BoxFuture<'_, Result<Response>> {
         Box::pin(async move {
-            let Some(first) = bindings.first() else {
-                return self.shards[0].execute_udf(name, bindings).await;
-            };
-            let shard = self.shard_of_key(&first.store, &first.key);
-            for b in &bindings {
-                let s = self.shard_of_key(&b.store, &b.key);
-                if s != shard {
-                    return Err(Error::Internal(format!(
-                        "cross-shard udf {name}: {}/{} lives on shard {shard} but {}/{} on \
-                         shard {s}; pushdown executes atomically only within one shard",
-                        first.store, first.key, b.store, b.key
-                    )));
+            // Batches: split by owning shard, scattered concurrently, merged
+            // back in input order. (A put is a patch op: one path for both.)
+            let request = match request {
+                Request::BatchGet { store, keys } => {
+                    let target = store.clone();
+                    let call = move |api: Arc<dyn Exchange>, keys| -> BoxFuture<'static, _> {
+                        let store = target.clone();
+                        Box::pin(async move { api.batch_get(store, keys).await })
+                    };
+                    return Ok(self.scatter_by_key(&store, keys, |key| key, call).await);
                 }
+                Request::BatchPut { store, items } => {
+                    let ops = items.into_iter().map(BatchOp::from).collect();
+                    return Ok(self.scatter_commit(store, ops).await);
+                }
+                Request::BatchCommit { store, ops } => {
+                    return Ok(self.scatter_commit(store, ops).await)
+                }
+                other => other,
+            };
+            match &request {
+                // Key-routed: the shard owning `(store, key)`.
+                Request::Create { store, key, .. }
+                | Request::Get { store, key }
+                | Request::Update { store, key, .. }
+                | Request::Patch { store, key, .. }
+                | Request::Delete { store, key }
+                | Request::RegisterConsumer { store, key, .. }
+                | Request::MarkProcessed { store, key, .. } => {
+                    let shard = self.shard_of_key(store, key);
+                    self.shards[shard].call(request).await
+                }
+                // Store-routed: a Log-DE store lives whole on one shard.
+                Request::LogCreateStore { store }
+                | Request::LogAppend { store, .. }
+                | Request::LogAppendBatch { store, .. }
+                | Request::LogRead { store, .. }
+                | Request::LogQuery { store, .. } => {
+                    let shard = self.shard_of_store(store);
+                    self.shards[shard].call(request).await
+                }
+                // Broadcast: every shard may come to own this store's keys.
+                Request::Ping
+                | Request::CreateStore { .. }
+                | Request::RegisterSchema { .. }
+                | Request::BindSchema { .. }
+                | Request::RegisterUdf { .. } => {
+                    let mut last = Response::Ok;
+                    for shard in &self.shards {
+                        last = shard.call(request.clone()).await?;
+                    }
+                    Ok(last)
+                }
+                // Registration broadcast to all shards, so any shard can answer.
+                Request::GetSchema { .. } => self.shards[0].call(request).await,
+                // Scatter-gather, merged back in input order.
+                Request::List { store } => self.gather_list(store.clone()).await,
+                Request::Metrics => {
+                    let mut parts = Vec::with_capacity(self.shards.len());
+                    for shard in &self.shards {
+                        parts.push(shard.metrics().await?);
+                    }
+                    Ok(Response::Metrics {
+                        snapshot: merge_snapshots(parts),
+                    })
+                }
+                // Single-shard-only: atomic within one shard, refused across.
+                Request::Transact { ops } => {
+                    let keys = ops.iter().map(|op| (&op.store, &op.key));
+                    let shard = self.single_shard("transact", keys)?;
+                    self.shards[shard].call(request).await
+                }
+                Request::ExecuteUdf { name, bindings } => {
+                    let keys = bindings.iter().map(|b| (&b.store, &b.key));
+                    let shard = self.single_shard(&format!("udf {name}"), keys)?;
+                    self.shards[shard].call(request).await
+                }
+                // Replication control and subscription teardown address one
+                // node, not a logical exchange.
+                _ => Err(misrouted(&request, "ShardRouter::call")),
             }
-            self.shards[shard].execute_udf(name, bindings).await
         })
     }
 
-    // ---- store-routed ops (Log-DE stores live whole on one shard) ----
-
-    fn log_create_store(&self, store: StoreId) -> BoxFuture<'_, Result<()>> {
-        self.store_shard(&store).log_create_store(store)
-    }
-
-    fn log_append(&self, store: StoreId, fields: Value) -> BoxFuture<'_, Result<u64>> {
-        self.store_shard(&store).log_append(store, fields)
-    }
-
-    fn log_append_batch(&self, store: StoreId, batch: Vec<Value>) -> BoxFuture<'_, Result<u64>> {
-        self.store_shard(&store).log_append_batch(store, batch)
-    }
-
-    fn log_read(&self, store: StoreId, from: u64) -> BoxFuture<'_, Result<Vec<LogRecord>>> {
-        self.store_shard(&store).log_read(store, from)
-    }
-
-    fn log_query(&self, store: StoreId, query: QuerySpec) -> BoxFuture<'_, Result<Vec<Value>>> {
-        self.store_shard(&store).log_query(store, query)
-    }
-
-    fn log_tail(&self, store: StoreId, from: u64) -> BoxFuture<'_, Result<TailRx>> {
-        self.store_shard(&store).log_tail(store, from)
-    }
-
-    // ---- observability ----
-
-    fn metrics(&self) -> BoxFuture<'_, Result<MetricsSnapshot>> {
+    fn open_watch(&self, request: Request) -> BoxFuture<'_, Result<WatchRx>> {
         Box::pin(async move {
-            let mut parts = Vec::with_capacity(self.shards.len());
-            for shard in &self.shards {
-                parts.push(shard.metrics().await?);
+            match request {
+                Request::Watch { store, from } => self.merged_watch(store, from).await,
+                other => Err(misrouted(&other, "ShardRouter::open_watch")),
             }
-            Ok(merge_snapshots(parts))
         })
+    }
+
+    fn open_tail(&self, request: Request) -> BoxFuture<'_, Result<TailRx>> {
+        match &request {
+            Request::LogTail { store, .. } => {
+                self.shards[self.shard_of_store(store)].open_tail(request)
+            }
+            _ => Box::pin(async move { Err(misrouted(&request, "open_tail")) }),
+        }
     }
 }
 
@@ -742,6 +654,8 @@ impl ShardedExchange {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::proto::ProfileSpec;
+    use knactor_store::TxOp;
     use serde_json::json;
 
     fn key(i: u64) -> ObjectKey {

@@ -8,16 +8,17 @@
 //! accept loop and every connection task.
 
 use crate::frame::{FrameReader, FrameWriter};
+use crate::local::{LocalExchange, LocalStream};
+use crate::loopback::LoopbackClient;
 use crate::proto::{
     decode, encode_into, EventBody, Hello, Request, RequestEnvelope, Response, ServerMsg,
 };
 use crate::replica::ReplRuntime;
-use knactor_logstore::{LogExchange, TailEvent};
+use knactor_logstore::LogExchange;
 use knactor_rbac::Subject;
-use knactor_store::{BatchOp, DataExchange, ReplState};
+use knactor_store::DataExchange;
 use knactor_types::{metrics, Error, Result, StoreId, Value};
 use std::collections::HashMap;
-use std::path::PathBuf;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::Arc;
 use tokio::net::{TcpListener, TcpStream};
@@ -67,7 +68,8 @@ pub struct ExchangeServer {
     local_addr: std::net::SocketAddr,
     shutdown_tx: watch::Sender<bool>,
     accept_task: JoinHandle<()>,
-    data_dir: PathBuf,
+    /// The dispatcher every connection (and [`Self::loopback`]) runs.
+    local: Arc<LocalExchange>,
     /// Bound to port 0: the data dir is per-instance and disposable.
     ephemeral: bool,
     repl: Arc<ReplRuntime>,
@@ -119,16 +121,19 @@ impl ExchangeServer {
         // never notices replication exists. Harnesses demote followers
         // via `server.repl().set_follower()` right after bind.
         let repl = ReplRuntime::leader();
-        let ctx = Arc::new(ServerCtx {
+        let local = Arc::new(LocalExchange {
             object: Arc::clone(&object),
             log: Arc::clone(&log),
-            data_dir: data_dir.clone(),
+            data_dir,
+            repl: Some(Arc::clone(&repl)),
+        });
+        let ctx = Arc::new(ServerCtx {
+            local: Arc::clone(&local),
             next_sub: AtomicU64::new(1),
             config,
             inflight: AtomicI64::new(0),
             shed_total: reg.counter("knactor_net_shed_total", &[("role", "server")]),
             inflight_gauge: reg.gauge("knactor_net_inflight", &[("role", "server")]),
-            repl: Arc::clone(&repl),
         });
         let accept_task = tokio::spawn(accept_loop(listener, ctx, shutdown_rx));
         Ok(ExchangeServer {
@@ -137,7 +142,7 @@ impl ExchangeServer {
             local_addr,
             shutdown_tx,
             accept_task,
-            data_dir,
+            local,
             ephemeral,
             repl,
         })
@@ -159,7 +164,14 @@ impl ExchangeServer {
 
     /// Directory under which remotely-requested durable stores place WALs.
     pub fn data_dir(&self) -> &std::path::Path {
-        &self.data_dir
+        &self.local.data_dir
+    }
+
+    /// An in-process client onto this node's own dispatcher: the same
+    /// leader fence and replication wiring a TCP client meets, minus the
+    /// wire and admission control.
+    pub fn loopback(&self, subject: Subject) -> LoopbackClient {
+        LoopbackClient::over(Arc::clone(&self.local), subject)
     }
 
     /// This node's replication role state (leader by default).
@@ -175,47 +187,22 @@ impl ExchangeServer {
         // An ephemeral server's WALs are unreachable after shutdown (no
         // one can re-bind "the same" port-0 server), so reclaim the dir.
         if self.ephemeral {
-            let _ = std::fs::remove_dir_all(&self.data_dir);
+            let _ = std::fs::remove_dir_all(&self.local.data_dir);
         }
     }
 }
 
 struct ServerCtx {
-    object: Arc<DataExchange>,
-    log: Arc<LogExchange>,
-    data_dir: PathBuf,
+    local: Arc<LocalExchange>,
     next_sub: AtomicU64,
     config: ServerConfig,
     /// Requests currently executing across all connections.
     inflight: AtomicI64,
     shed_total: Arc<metrics::Counter>,
     inflight_gauge: Arc<metrics::Gauge>,
-    repl: Arc<ReplRuntime>,
 }
 
 impl ServerCtx {
-    /// Reject client mutations of replicated stores on non-leader nodes.
-    ///
-    /// Followers mutate their replicated stores only through the
-    /// in-process replication apply path ([`crate::loopback`]), which
-    /// never crosses this fence. Unknown stores pass: the op will fail
-    /// with its own `NotFound` (or is a `CreateStore` broadcast).
-    fn fence_replicated(&self, store: &StoreId) -> Result<()> {
-        if self.repl.is_leader() {
-            return Ok(());
-        }
-        let replicated = self
-            .object
-            .store(store)
-            .map(|s| s.repl().is_some() || s.profile().repl_acks > 0)
-            .unwrap_or(false);
-        if replicated {
-            return Err(Error::NotLeader {
-                epoch: self.repl.epoch(),
-            });
-        }
-        Ok(())
-    }
     /// True when new work should be shed: this connection's outbound
     /// queue is past its watermark (the client is not consuming replies
     /// fast enough) or the server-wide inflight count is at its cap.
@@ -442,7 +429,15 @@ fn batched_msg(sub_id: u64, mut bodies: Vec<EventBody>) -> ServerMsg {
     }
 }
 
-/// Cheap JSON-size estimate (no serialization) used for the byte cap.
+/// Cheap payload-size estimate (no serialization) used for the byte cap.
+fn approx_body_bytes(body: &EventBody) -> usize {
+    match body {
+        EventBody::Object { event } => approx_value_bytes(&event.value),
+        EventBody::Record { record } => approx_value_bytes(&record.fields),
+        _ => 16,
+    }
+}
+
 fn approx_value_bytes(v: &Value) -> usize {
     match v {
         Value::Null | Value::Bool(_) => 8,
@@ -468,13 +463,13 @@ fn subject_from_hello(hello: &Hello) -> Result<Subject> {
     Ok(subject)
 }
 
-/// Handle one request. Subscription requests (`Watch`, `LogTail`) enqueue
-/// their own success reply on `out_tx` *before* spawning the fan-out task
-/// and return `Ok(None)`: the channel is FIFO, so the client is guaranteed
-/// to process the reply (installing the subscription routing) before the
-/// first pushed event — otherwise a fast replay could race ahead of the
-/// reply and be dropped by the client demultiplexer. Every other request
-/// returns `Ok(Some(response))` for the caller to reply with.
+/// Handle one request. Stream requests enqueue their own success reply
+/// on `out_tx` *before* spawning the push pump and return `Ok(None)`: the
+/// channel is FIFO, so the client is guaranteed to process the reply
+/// (installing the subscription routing) before the first pushed event —
+/// otherwise a fast replay could race ahead of the reply and be dropped
+/// by the client demultiplexer. Every other request returns
+/// `Ok(Some(response))` for the caller to reply with.
 async fn dispatch(
     id: u64,
     request: Request,
@@ -484,436 +479,54 @@ async fn dispatch(
     subs: &mut HashMap<u64, JoinHandle<()>>,
 ) -> Result<Option<Response>> {
     match request {
-        Request::Watch { store, from } => {
-            let mut stream = ctx
-                .object
-                .handle(&store, subject.clone())?
-                .watch_from(from)?;
+        request if request.is_stream() => {
+            let stream = ctx.local.open(subject, request)?;
             let sub_id = ctx.next_sub.fetch_add(1, Ordering::Relaxed);
-            if out_tx
-                .send(ServerMsg::Reply {
-                    id,
-                    response: Response::Watch { sub_id },
-                })
-                .await
-                .is_err()
-            {
-                // Connection gone; nothing to fan out to.
-                return Ok(None);
+            let response = Response::Watch { sub_id };
+            // A failed send means the connection is gone: nothing to pump to.
+            if out_tx.send(ServerMsg::Reply { id, response }).await.is_ok() {
+                subs.insert(sub_id, tokio::spawn(pump(stream, sub_id, out_tx.clone())));
             }
-            let out = out_tx.clone();
-            let task = tokio::spawn(async move {
-                // Drain-available batching: after each blocking recv,
-                // scoop up whatever else has already committed (bounded
-                // by count and bytes) so fan-out sends one frame for N
-                // events instead of N frames.
-                //
-                // `out.send` parks when the connection's bounded queue is
-                // full — this task stops *reading* the store stream, the
-                // store-side lag gate fills, and the store cuts the
-                // subscription rather than queueing without bound. The
-                // shared outbox drainer is never blocked either way.
-                while let Some(event) = stream.recv().await {
-                    let mut bytes = approx_value_bytes(&event.value);
-                    let mut bodies = vec![EventBody::Object { event }];
-                    while bodies.len() < BATCH_MAX_EVENTS && bytes < BATCH_MAX_BYTES {
-                        match stream.try_recv() {
-                            Some(event) => {
-                                bytes += approx_value_bytes(&event.value);
-                                bodies.push(EventBody::Object { event });
-                            }
-                            None => break,
-                        }
-                    }
-                    if out.send(batched_msg(sub_id, bodies)).await.is_err() {
-                        return;
-                    }
-                }
-                // Stream end: a lag cutoff carries a typed resume point so
-                // the client can rewatch gaplessly; an ordinary close says
-                // so plainly.
-                let body = match stream.lag_resume_from() {
-                    Some(resume) => EventBody::WatchLagged {
-                        resume_from: resume.0,
-                    },
-                    None => EventBody::Closed,
-                };
-                let _ = out.send(ServerMsg::Event { sub_id, body }).await;
-            });
-            subs.insert(sub_id, task);
             Ok(None)
         }
-        Request::ReplSubscribe { store, from } => {
-            // Replication stream: the raw store watch (no RBAC handle, no
-            // profile delivery delays) — followers mirror commit order,
-            // they are not clients. Same reply-before-spawn and
-            // drain-available batching as `Watch`.
-            let mut stream = ctx.object.store(&store)?.watch_from(from)?;
-            let sub_id = ctx.next_sub.fetch_add(1, Ordering::Relaxed);
-            if out_tx
-                .send(ServerMsg::Reply {
-                    id,
-                    response: Response::Watch { sub_id },
-                })
-                .await
-                .is_err()
-            {
-                return Ok(None);
-            }
-            let out = out_tx.clone();
-            let task = tokio::spawn(async move {
-                while let Some(event) = stream.recv().await {
-                    let mut bytes = approx_value_bytes(&event.value);
-                    let mut bodies = vec![EventBody::Object { event }];
-                    while bodies.len() < BATCH_MAX_EVENTS && bytes < BATCH_MAX_BYTES {
-                        match stream.try_recv() {
-                            Ok(event) => {
-                                bytes += approx_value_bytes(&event.value);
-                                bodies.push(EventBody::Object { event });
-                            }
-                            Err(_) => break,
-                        }
-                    }
-                    if out.send(batched_msg(sub_id, bodies)).await.is_err() {
-                        return;
-                    }
-                }
-                // A lag cut just ends the stream: the follower resubscribes
-                // from its own applied revision, which is always a valid
-                // resume point.
-                let body = match stream.lag_resume_from() {
-                    Some(resume) => EventBody::WatchLagged {
-                        resume_from: resume.0,
-                    },
-                    None => EventBody::Closed,
-                };
-                let _ = out.send(ServerMsg::Event { sub_id, body }).await;
-            });
-            subs.insert(sub_id, task);
-            Ok(None)
-        }
-        Request::LogTail { store, from } => {
-            let mut rx = ctx.log.store(&store)?.tail(from);
-            let sub_id = ctx.next_sub.fetch_add(1, Ordering::Relaxed);
-            if out_tx
-                .send(ServerMsg::Reply {
-                    id,
-                    response: Response::Watch { sub_id },
-                })
-                .await
-                .is_err()
-            {
-                return Ok(None);
-            }
-            let out = out_tx.clone();
-            let task = tokio::spawn(async move {
-                // Same drain-available batching as watch fan-out. Lag
-                // markers ride the same stream as typed bodies so the
-                // client sees them in order relative to records.
-                let wire = |ev: TailEvent| match ev {
-                    TailEvent::Record(record) => (
-                        approx_value_bytes(&record.fields),
-                        EventBody::Record { record },
-                    ),
-                    TailEvent::Lagged {
-                        missed,
-                        resume_from,
-                    } => (
-                        16,
-                        EventBody::Lagged {
-                            missed,
-                            resume_from,
-                        },
-                    ),
-                };
-                while let Some(ev) = rx.recv().await {
-                    let (mut bytes, body) = wire(ev);
-                    let mut bodies = vec![body];
-                    while bodies.len() < BATCH_MAX_EVENTS && bytes < BATCH_MAX_BYTES {
-                        match rx.try_recv() {
-                            Ok(ev) => {
-                                let (b, body) = wire(ev);
-                                bytes += b;
-                                bodies.push(body);
-                            }
-                            Err(_) => break,
-                        }
-                    }
-                    if out.send(batched_msg(sub_id, bodies)).await.is_err() {
-                        return;
-                    }
-                }
-                let _ = out
-                    .send(ServerMsg::Event {
-                        sub_id,
-                        body: EventBody::Closed,
-                    })
-                    .await;
-            });
-            subs.insert(sub_id, task);
-            Ok(None)
-        }
-        other => dispatch_request(other, ctx, subject, subs).await.map(Some),
-    }
-}
-
-async fn dispatch_request(
-    request: Request,
-    ctx: &Arc<ServerCtx>,
-    subject: &Subject,
-    subs: &mut HashMap<u64, JoinHandle<()>>,
-) -> Result<Response> {
-    match request {
-        Request::Ping => Ok(Response::Pong),
-        Request::CreateStore { store, profile } => {
-            let profile = profile.materialize(&ctx.data_dir, &store);
-            let repl_acks = profile.repl_acks;
-            let created = ctx.object.create_store(store.clone(), profile)?;
-            if repl_acks > 0 {
-                // Replicated store: wire its quorum state to this node's
-                // role flag (quorum waits are live only while leading).
-                created.attach_repl(ReplState::new(&store, ctx.repl.leading_flag()));
-            }
-            Ok(Response::Ok)
-        }
-        Request::Create { store, key, value } => {
-            ctx.fence_replicated(&store)?;
-            let rev = ctx
-                .object
-                .handle(&store, subject.clone())?
-                .create(key, value)
-                .await?;
-            Ok(Response::Revision { revision: rev })
-        }
-        Request::Get { store, key } => {
-            let object = ctx
-                .object
-                .handle(&store, subject.clone())?
-                .get(&key)
-                .await?;
-            Ok(Response::Object { object })
-        }
-        Request::List { store } => {
-            let (objects, revision) = ctx.object.handle(&store, subject.clone())?.list().await?;
-            Ok(Response::Objects { objects, revision })
-        }
-        Request::Update {
-            store,
-            key,
-            value,
-            expected,
-        } => {
-            ctx.fence_replicated(&store)?;
-            let rev = ctx
-                .object
-                .handle(&store, subject.clone())?
-                .update(&key, value, expected)
-                .await?;
-            Ok(Response::Revision { revision: rev })
-        }
-        Request::Patch {
-            store,
-            key,
-            patch,
-            upsert,
-        } => {
-            ctx.fence_replicated(&store)?;
-            let rev = ctx
-                .object
-                .handle(&store, subject.clone())?
-                .patch(&key, patch, upsert)
-                .await?;
-            Ok(Response::Revision { revision: rev })
-        }
-        Request::Delete { store, key } => {
-            ctx.fence_replicated(&store)?;
-            let rev = ctx
-                .object
-                .handle(&store, subject.clone())?
-                .delete(&key)
-                .await?;
-            Ok(Response::Revision { revision: rev })
-        }
-        Request::BatchGet { store, keys } => {
-            let items = ctx
-                .object
-                .handle(&store, subject.clone())?
-                .batch_get(&keys)
-                .await?;
-            Ok(Response::Batch { items })
-        }
-        Request::BatchPut { store, items } => {
-            ctx.fence_replicated(&store)?;
-            let ops = items.into_iter().map(BatchOp::from).collect();
-            let items = ctx
-                .object
-                .handle(&store, subject.clone())?
-                .batch_commit(ops)
-                .await?;
-            Ok(Response::Batch { items })
-        }
-        Request::BatchCommit { store, ops } => {
-            ctx.fence_replicated(&store)?;
-            let items = ctx
-                .object
-                .handle(&store, subject.clone())?
-                .batch_commit(ops)
-                .await?;
-            Ok(Response::Batch { items })
-        }
-        Request::RegisterConsumer {
-            store,
-            key,
-            consumer,
-        } => {
-            ctx.object
-                .handle(&store, subject.clone())?
-                .register_consumer(&key, &consumer)
-                .await?;
-            Ok(Response::Ok)
-        }
-        Request::MarkProcessed {
-            store,
-            key,
-            consumer,
-        } => {
-            let keys = ctx
-                .object
-                .handle(&store, subject.clone())?
-                .mark_processed(&key, &consumer)
-                .await?;
-            Ok(Response::Collected { keys })
-        }
-        Request::Watch { .. } | Request::LogTail { .. } => {
-            unreachable!("subscription requests are handled by `dispatch`")
-        }
-        Request::Unwatch { sub_id } => {
-            if let Some(task) = subs.remove(&sub_id) {
+        // Subscription ids are per connection, so teardown is handled here.
+        Request::Unwatch { sub_id } => match subs.remove(&sub_id) {
+            Some(task) => {
                 task.abort();
-                Ok(Response::Ok)
-            } else {
-                Err(Error::NotFound(format!("subscription {sub_id}")))
+                Ok(Some(Response::Ok))
             }
-        }
-        Request::RegisterSchema { schema } => {
-            ctx.object.register_schema(schema)?;
-            Ok(Response::Ok)
-        }
-        Request::BindSchema { store, schema } => {
-            ctx.object.bind_schema(&store, &schema)?;
-            Ok(Response::Ok)
-        }
-        Request::GetSchema { schema } => Ok(Response::Schema {
-            schema: ctx.object.schema(&schema)?,
-        }),
-        Request::RegisterUdf {
-            name,
-            inputs,
-            assignments,
-        } => {
-            ctx.object.register_udf(name, inputs, &assignments)?;
-            Ok(Response::Ok)
-        }
-        Request::ExecuteUdf { name, bindings } => {
-            let revisions = ctx.object.execute_udf(subject, &name, &bindings)?;
-            Ok(Response::Revisions {
-                revisions: revisions.into_iter().collect(),
-            })
-        }
-        Request::Transact { ops } => {
-            for op in &ops {
-                ctx.fence_replicated(&op.store)?;
-            }
-            let revisions = ctx.object.transact(subject, &ops)?;
-            Ok(Response::Revisions {
-                revisions: revisions.into_iter().collect(),
-            })
-        }
-        Request::LogCreateStore { store } => {
-            ctx.log.create_store(store)?;
-            Ok(Response::Ok)
-        }
-        Request::LogAppend { store, fields } => {
-            let seq = ctx.log.ingest(&subject.to_string(), &store, fields)?;
-            Ok(Response::Seq { seq })
-        }
-        Request::LogAppendBatch { store, batch } => {
-            let seq = ctx.log.ingest_batch(&subject.to_string(), &store, batch)?;
-            Ok(Response::Seq { seq })
-        }
-        Request::LogRead { store, from } => {
-            let records = ctx.log.store(&store)?.read_from(from);
-            Ok(Response::Records { records })
-        }
-        Request::LogQuery { store, query } => {
-            let compiled = query.compile()?;
-            let rows = ctx.log.query(&subject.to_string(), &store, &compiled)?;
-            Ok(Response::Rows { rows })
-        }
-        Request::ReplSubscribe { .. } => {
-            unreachable!("subscription requests are handled by `dispatch`")
-        }
-        Request::ReplAck {
-            store,
-            follower,
-            revision,
-        } => {
-            // Acks against a store with no attached ReplState (e.g. a
-            // non-replicated profile) are harmless no-ops.
-            let target = ctx.object.store(&store)?;
-            if let Some(repl) = target.repl() {
-                repl.ack(&follower, revision, target.revision());
-            }
-            Ok(Response::Ok)
-        }
-        Request::ReplStatus => {
-            let applied = ctx
-                .object
-                .store_ids()
-                .into_iter()
-                .filter_map(|id| ctx.object.store(&id).ok().map(|s| (id, s.revision())))
-                .collect();
-            Ok(Response::ReplStatus {
-                leader: ctx.repl.is_leader(),
-                epoch: ctx.repl.epoch(),
-                applied,
-            })
-        }
-        Request::ReplPromote { epoch } => {
-            ctx.repl.promote(epoch)?;
-            Ok(Response::Ok)
-        }
-        Request::ReplWait { store, revision } => {
-            // Read-your-writes barrier: block (bounded) until this node's
-            // copy of the store has applied at least `revision`.
-            let deadline = std::time::Instant::now() + REPL_WAIT_TIMEOUT;
-            loop {
-                let current = ctx.object.store(&store)?.revision();
-                if current >= revision {
-                    return Ok(Response::Revision { revision: current });
-                }
-                if std::time::Instant::now() >= deadline {
-                    return Err(Error::Timeout(format!(
-                        "replica at revision {} has not applied {}",
-                        current.0, revision.0
-                    )));
-                }
-                tokio::time::sleep(REPL_WAIT_POLL).await;
-            }
-        }
-        Request::Metrics => Ok(Response::Metrics {
-            snapshot: knactor_types::metrics::global().snapshot(),
-        }),
+            None => Err(Error::NotFound(format!("subscription {sub_id}"))),
+        },
+        other => ctx.local.call(subject, other).await.map(Some),
     }
 }
 
-/// How long a `ReplWait` barrier may block before reporting the replica
-/// as behind. Bounded well under client request timeouts.
-const REPL_WAIT_TIMEOUT: std::time::Duration = std::time::Duration::from_secs(3);
-/// Poll cadence for the `ReplWait` barrier (applies arrive from the
-/// replication task, not this connection, so polling is the simple,
-/// allocation-free wait).
-const REPL_WAIT_POLL: std::time::Duration = std::time::Duration::from_micros(500);
+/// Push one subscription's events to the connection until either ends.
+///
+/// Drain-available batching: after each blocking recv, scoop up whatever
+/// else is already available (bounded by count and bytes) so fan-out
+/// sends one frame for N events instead of N frames.
+///
+/// `out.send` parks when the connection's bounded queue is full — this
+/// task stops *reading* the stream, the store-side lag gate fills, and
+/// the store cuts the subscription rather than queueing without bound.
+/// The shared outbox drainer is never blocked either way.
+async fn pump(mut stream: LocalStream, sub_id: u64, out: mpsc::Sender<ServerMsg>) {
+    while let Some(body) = stream.recv().await {
+        let mut bytes = approx_body_bytes(&body);
+        let mut bodies = vec![body];
+        while bodies.len() < BATCH_MAX_EVENTS && bytes < BATCH_MAX_BYTES {
+            let Some(body) = stream.try_recv() else { break };
+            bytes += approx_body_bytes(&body);
+            bodies.push(body);
+        }
+        if out.send(batched_msg(sub_id, bodies)).await.is_err() {
+            return;
+        }
+    }
+    let body = stream.end();
+    let _ = out.send(ServerMsg::Event { sub_id, body }).await;
+}
 
 /// Helper used by tests and benches: a running server plus its address,
 /// with exchanges pre-created for the given store ids.

@@ -2,14 +2,18 @@
 //! must produce identical per-item outcomes on a 4-shard **loopback**
 //! router and a 4-shard **routed-TCP** router with the same topology —
 //! and the same outcome *shape* (typed error codes in the same slots) as
-//! the single-node parity suite pins down.
+//! the single-node parity suite pins down, including through the full
+//! `Shard(Replica(Resilient(Tcp)))` layer stack.
 
 use knactor_net::proto::ProfileSpec;
-use knactor_net::{ExchangeApi, ShardRouter, ShardedExchange};
+use knactor_net::{
+    Exchange, ExchangeApi, ReplicatedExchange, RetryPolicy, ShardRouter, ShardedExchange,
+};
 use knactor_rbac::Subject;
-use knactor_store::ItemResult;
+use knactor_store::{ItemResult, ShardMap};
 use knactor_types::{Revision, StoreId};
 use serde_json::json;
+use std::sync::Arc;
 
 #[path = "util/batch_workload.rs"]
 mod batch_workload;
@@ -79,6 +83,56 @@ async fn one_shard_router_is_a_passthrough() {
     let routed = batch_script(&router).await;
 
     assert_eq!(baseline, routed);
+}
+
+/// The layers compose: `Shard(Replica(Resilient(Tcp)))` — 2 shards, each
+/// a leader + 1 follower replica set holding the store at
+/// `Replicated { acks: 1 }` — gives the workload the same per-item
+/// outcomes as the single-node loopback. (Revision numbers are
+/// shard-local, so the comparison is on outcome shape + typed codes.)
+#[tokio::test]
+async fn sharded_replicated_stack_matches_single_node_loopback() {
+    let (_object, _log, plain) = knactor_net::loopback::in_process(Subject::operator("parity"));
+    let baseline = batch_script(&plain).await;
+
+    let mut sets = Vec::new();
+    let mut shards: Vec<Arc<dyn Exchange>> = Vec::new();
+    for _ in 0..2 {
+        let set = ReplicatedExchange::launch(1).await.unwrap();
+        shards.push(Arc::new(set.router(RetryPolicy::fast(7)).await.unwrap()));
+        sets.push(set);
+    }
+    let stack = ShardRouter::new(ShardMap::uniform(2), shards);
+    // The script creates its store with an un-replicated profile; creating
+    // it replicated first turns the script's own create into the idempotent
+    // no-op every retrying layer already makes of `AlreadyExists`.
+    let store = StoreId::new("parity/batch");
+    stack
+        .create_store(store.clone(), ProfileSpec::Replicated { acks: 1 })
+        .await
+        .unwrap();
+    let stacked = batch_script(&stack).await;
+
+    assert_eq!(baseline.len(), stacked.len());
+    for (single, routed) in baseline.iter().zip(&stacked) {
+        assert_eq!(outcome_tags(single), outcome_tags(routed));
+    }
+    // Every write was quorum-acked, so each follower holds its shard's share
+    // of the 6 commits.
+    let (_, revision) = stack.list(store.clone()).await.unwrap();
+    assert_eq!(revision, Revision(6));
+    let mut replicated = 0;
+    for set in &sets {
+        let follower = set.node(1).server().expect("follower is alive");
+        let copy = follower.object.store(&store).unwrap();
+        assert!(copy.repl().is_some(), "follower copy has no quorum state");
+        replicated += copy.revision().0;
+    }
+    assert_eq!(replicated, 6);
+
+    for set in sets {
+        set.shutdown().await;
+    }
 }
 
 /// A watch established through the routed-TCP 4-shard exchange delivers

@@ -92,7 +92,7 @@ pub mod prelude {
     pub use knactor_logstore::{AggFn, LogExchange, LogStore, Query};
     pub use knactor_net::proto::{OpSpec, ProfileSpec, QuerySpec};
     pub use knactor_net::{
-        ExchangeApi, ExchangeServer, LoopbackClient, ReplicaRouter, ReplicatedExchange,
+        Exchange, ExchangeApi, ExchangeServer, LoopbackClient, ReplicaRouter, ReplicatedExchange,
         ShardRouter, ShardedExchange, TcpClient,
     };
     pub use knactor_rbac::{

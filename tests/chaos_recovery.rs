@@ -484,7 +484,7 @@ async fn chaos_loopback_fault_api_keeps_commits_exactly_once() {
 
     let (object, _log, clean) = knactor::net::loopback::in_process(Subject::integrator("chaos"));
     let clean: Arc<dyn ExchangeApi> = Arc::new(clean);
-    let faulted = FaultApi::new(Arc::clone(&clean), FaultPlan::flaky(seed));
+    let faulted = FaultApi::new(clean.clone(), FaultPlan::flaky(seed));
 
     object
         .create_store(StoreId::new("chaos/local"), EngineProfile::instant())

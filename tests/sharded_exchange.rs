@@ -512,10 +512,10 @@ async fn rebalanced_map_needs_a_new_router_and_mismatch_is_typed() {
     // Wiring the successor map to the *old* client set is refused with a
     // typed error — the failure a control plane can catch and handle.
     let (_o2, _l2, donor) = ShardRouter::in_process(SHARDS, Subject::integrator("pin"));
-    let clients: Vec<Arc<dyn ExchangeApi>> = (0..SHARDS)
+    let clients: Vec<Arc<dyn Exchange>> = (0..SHARDS)
         .map(|_| {
             let (_, _, lb) = knactor::net::loopback::in_process(Subject::integrator("pin"));
-            Arc::new(lb) as Arc<dyn ExchangeApi>
+            Arc::new(lb) as Arc<dyn Exchange>
         })
         .collect();
     let _ = donor;
