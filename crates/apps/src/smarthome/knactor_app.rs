@@ -233,7 +233,6 @@ pub fn smarthome_composition(dxg: Dxg) -> Composition {
                 }],
             },
             mode: SyncMode::Stream,
-            max_batch: 1,
         })
         // Sync 2 (snapshot): lamp energy log → house `energy` rollup.
         .with_sync(SyncConfig {
@@ -253,7 +252,6 @@ pub fn smarthome_composition(dxg: Dxg) -> Composition {
                 }],
             },
             mode: SyncMode::Snapshot,
-            max_batch: 1,
         })
         // Continuous: lamp energy per tumbling window → analytics store.
         .with_continuous(ContinuousConfig {

@@ -79,7 +79,6 @@ fn composition(hot_expr: &str) -> Composition {
                 }],
             },
             mode: SyncMode::Stream,
-            max_batch: 1,
         })
 }
 

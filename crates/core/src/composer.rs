@@ -30,12 +30,12 @@
 //! the undo log runs in reverse, the previous composition stays applied,
 //! and `apply` returns the error.
 
-use crate::cast::{Cast, CastBinding, CastConfig, CastMode};
-use crate::continuous::{Continuous, ContinuousConfig};
-use crate::integrator::{Health, Integrator, IntegratorConfig, IntegratorStats};
+use crate::cast::{CastBinding, CastConfig, CastMode};
+use crate::continuous::ContinuousConfig;
+use crate::integrator::{Controller, Health, Host, IntegratorConfig, IntegratorStats};
 use crate::runtime::Runtime;
-use crate::sync::{Sync, SyncConfig};
-use crate::telemetry::{Counters, TraceCollector};
+use crate::sync::SyncConfig;
+use crate::telemetry::TraceCollector;
 use knactor_expr::FnRegistry;
 use knactor_net::ExchangeApi;
 use std::collections::BTreeMap;
@@ -213,7 +213,7 @@ pub fn cast_edge_actions(
 /// reconfigure keeps it, which is exactly what the minimal-restart test
 /// asserts survives.
 struct EdgeSlot {
-    integrator: Box<dyn Integrator>,
+    integrator: Controller,
     config: IntegratorConfig,
     instance: u64,
 }
@@ -254,10 +254,7 @@ impl StateCell {
 /// newly-applied specs (see module docs).
 pub struct Composer {
     name: String,
-    api: Arc<dyn ExchangeApi>,
-    fns: FnRegistry,
-    traces: TraceCollector,
-    counters: Counters,
+    host: Host,
     inner: Arc<StateCell>,
 }
 
@@ -265,10 +262,7 @@ impl Composer {
     pub fn new(name: impl Into<String>, api: Arc<dyn ExchangeApi>) -> Composer {
         Composer {
             name: name.into(),
-            api,
-            fns: FnRegistry::standard(),
-            traces: TraceCollector::new(),
-            counters: Counters::new(),
+            host: Host::new(api),
             inner: Arc::new(StateCell::new(Inner {
                 edges: BTreeMap::new(),
                 applied: None,
@@ -279,26 +273,22 @@ impl Composer {
     }
 
     pub fn with_functions(mut self, fns: FnRegistry) -> Composer {
-        self.fns = fns;
+        self.host.fns = fns;
         self
     }
 
     pub fn with_traces(mut self, traces: TraceCollector) -> Composer {
-        self.traces = traces;
+        self.host.traces = traces;
         self
     }
 
     pub fn traces(&self) -> &TraceCollector {
-        &self.traces
-    }
-
-    pub fn counters(&self) -> &Counters {
-        &self.counters
+        &self.host.traces
     }
 
     /// Register this composer with a runtime: when the runtime raises its
     /// shutdown flag, the composer drains and stops every edge inside the
-    /// grace window of [`Runtime::shutdown_with_grace`].
+    /// grace window of [`Runtime::shutdown`].
     pub fn supervise(&self, runtime: &Runtime) {
         let cell = Arc::clone(&self.inner);
         let mut signal = runtime.shutdown_signal();
@@ -331,44 +321,39 @@ impl Composer {
         let result = self.apply_locked(&mut inner, composition).await;
         self.inner.put(inner);
         let elapsed = start.elapsed();
-        self.traces.record(&trace_id, &component, "apply", elapsed);
-        let registry = crate::metrics::global();
-        registry
+        self.host
+            .traces
+            .record(&trace_id, &component, "apply", elapsed);
+        crate::metrics::global()
             .histogram(
                 "knactor_composer_apply_seconds",
                 &[("composer", &self.name)],
             )
             .observe(elapsed);
-        let event = |kind: &str, n: u64| {
-            registry
-                .counter(
-                    "knactor_composer_events_total",
-                    &[("composer", &self.name), ("kind", kind)],
-                )
-                .add(n);
-        };
         match &result {
             Ok(report) => {
-                self.counters.incr("composer.apply.ok");
-                self.counters
-                    .add("composer.apply.edges_spawned", report.spawned.len() as u64);
-                self.counters.add(
-                    "composer.apply.edges_reconfigured",
-                    report.reconfigured.len() as u64,
-                );
-                self.counters
-                    .add("composer.apply.edges_stopped", report.stopped.len() as u64);
-                event("apply_ok", 1);
-                event("edges_spawned", report.spawned.len() as u64);
-                event("edges_reconfigured", report.reconfigured.len() as u64);
-                event("edges_stopped", report.stopped.len() as u64);
+                self.count("apply_ok", None);
+                for (kind, edges) in [
+                    ("edges_spawned", &report.spawned),
+                    ("edges_reconfigured", &report.reconfigured),
+                    ("edges_stopped", &report.stopped),
+                ] {
+                    edges.iter().for_each(|edge| self.count(kind, Some(edge)));
+                }
             }
-            Err(_) => {
-                self.counters.incr("composer.apply.rolled_back");
-                event("apply_rolled_back", 1);
-            }
+            Err(_) => self.count("apply_rolled_back", None),
         }
         result
+    }
+
+    /// One lifecycle event into `knactor_composer_events_total`; per-edge
+    /// kinds carry the edge key.
+    fn count(&self, kind: &str, edge: Option<&str>) {
+        let mut labels = vec![("composer", self.name.as_str()), ("kind", kind)];
+        labels.extend(edge.map(|edge| ("edge", edge)));
+        crate::metrics::global()
+            .counter("knactor_composer_events_total", &labels)
+            .inc();
     }
 
     async fn apply_locked(
@@ -390,9 +375,7 @@ impl Composer {
         for (key, config) in &desired {
             match inner.edges.get(key) {
                 None => to_spawn.push((key.clone(), config.clone())),
-                Some(slot) if config_equal(&slot.config, config) => {
-                    report.untouched.push(key.clone())
-                }
+                Some(slot) if slot.config == *config => report.untouched.push(key.clone()),
                 Some(_) => to_reconfigure.push((key.clone(), config.clone())),
             }
         }
@@ -414,10 +397,6 @@ impl Composer {
 
         'exec: {
             for (key, config) in &to_reconfigure {
-                if let Err(e) = self.preflight_reconfigure(config).await {
-                    failure = Some(e);
-                    break 'exec;
-                }
                 let slot = inner.edges.get_mut(key).expect("classified as running");
                 let old_config = slot.config.clone();
                 match slot.integrator.reconfigure(config.clone()).await {
@@ -425,8 +404,6 @@ impl Composer {
                         slot.config = config.clone();
                         undo.push(Undo::Reconfigure(key.clone(), old_config));
                         report.reconfigured.push(key.clone());
-                        self.counters
-                            .incr(&format!("composer.edge.{key}.reconfigures"));
                     }
                     Err(e) => {
                         failure = Some(e);
@@ -436,8 +413,8 @@ impl Composer {
             }
             for (key, config) in &to_spawn {
                 let spawned = async {
-                    self.preflight(config).await?;
-                    self.spawn_edge(config).await
+                    config.preflight(&*self.host.api).await?;
+                    config.spawn(&self.host).await
                 }
                 .await;
                 match spawned {
@@ -454,7 +431,6 @@ impl Composer {
                         );
                         undo.push(Undo::Despawn(key.clone()));
                         report.spawned.push(key.clone());
-                        self.counters.incr(&format!("composer.edge.{key}.restarts"));
                     }
                     Err(e) => {
                         failure = Some(e);
@@ -468,7 +444,6 @@ impl Composer {
                     let _ = slot.integrator.drain().await;
                     slot.integrator.shutdown().await;
                     report.stopped.push(key.clone());
-                    self.counters.incr(&format!("composer.edge.{key}.stops"));
                 }
             }
         }
@@ -488,9 +463,7 @@ impl Composer {
                     if let Some(slot) = inner.edges.get_mut(&key) {
                         match slot.integrator.reconfigure(old_config.clone()).await {
                             Ok(()) => slot.config = old_config,
-                            Err(_) => {
-                                self.counters.incr("composer.apply.rollback_failed");
-                            }
+                            Err(_) => self.count("rollback_failed", None),
                         }
                     }
                 }
@@ -633,102 +606,6 @@ impl Composer {
         }
         out
     }
-
-    /// Reachability check for an edge about to spawn — the fallible step
-    /// a fault-injection test trips to exercise rollback.
-    async fn preflight(&self, config: &IntegratorConfig) -> knactor_types::Result<()> {
-        match config {
-            IntegratorConfig::Cast(c) => {
-                for binding in c.bindings.values() {
-                    self.api.list(binding.store.clone()).await?;
-                }
-            }
-            IntegratorConfig::Sync(c) => {
-                // Read past the end: cheap, allocation-free liveness probe.
-                self.api.log_read(c.source.clone(), u64::MAX).await?;
-            }
-            IntegratorConfig::Continuous(c) => {
-                self.api.log_read(c.source.clone(), u64::MAX).await?;
-            }
-        }
-        Ok(())
-    }
-
-    /// Reconfiguration is normally network-free — the running task keeps
-    /// its tail position and watches, and validation is offline. A
-    /// **pushdown** cast config is the exception: its UDF executes inside
-    /// the target exchange, so retargeting it toward a store the exchange
-    /// does not host would otherwise report success while the edge
-    /// dead-loops on watch restarts and the stale UDF registration keeps
-    /// serving the old target. Probe every binding store first and
-    /// surface the failure as a typed [`PushdownUnavailable`] error so
-    /// the apply rolls back instead of silently degrading.
-    ///
-    /// [`PushdownUnavailable`]: knactor_types::Error::PushdownUnavailable
-    async fn preflight_reconfigure(&self, config: &IntegratorConfig) -> knactor_types::Result<()> {
-        if let IntegratorConfig::Cast(c) = config {
-            if let CastMode::Pushdown { udf_name } = &c.mode {
-                for binding in c.bindings.values() {
-                    if self.api.list(binding.store.clone()).await.is_err() {
-                        return Err(knactor_types::Error::PushdownUnavailable {
-                            udf: udf_name.clone(),
-                            store: binding.store.to_string(),
-                        });
-                    }
-                }
-            }
-        }
-        Ok(())
-    }
-
-    async fn spawn_edge(
-        &self,
-        config: &IntegratorConfig,
-    ) -> knactor_types::Result<Box<dyn Integrator>> {
-        match config {
-            IntegratorConfig::Cast(c) => {
-                let controller = Cast::new(Arc::clone(&self.api))
-                    .with_functions(self.fns.clone())
-                    .with_traces(self.traces.clone())
-                    .spawn(c.clone())
-                    .await?;
-                Ok(Box::new(controller))
-            }
-            IntegratorConfig::Sync(c) => {
-                let controller = Sync::new(Arc::clone(&self.api))
-                    .with_traces(self.traces.clone())
-                    .spawn(c.clone())
-                    .await?;
-                Ok(Box::new(controller))
-            }
-            IntegratorConfig::Continuous(c) => {
-                let controller = Continuous::new(Arc::clone(&self.api))
-                    .with_functions(self.fns.clone())
-                    .with_traces(self.traces.clone())
-                    .spawn(c.clone())
-                    .await?;
-                Ok(Box::new(controller))
-            }
-        }
-    }
-}
-
-/// Structural equality of edge configs. `Dxg` has no `PartialEq`;
-/// [`knactor_dxg::equivalent`] is the right notion anyway (formatting
-/// and declaration order must not register as changes).
-fn config_equal(a: &IntegratorConfig, b: &IntegratorConfig) -> bool {
-    match (a, b) {
-        (IntegratorConfig::Cast(x), IntegratorConfig::Cast(y)) => {
-            x.name == y.name
-                && x.bindings == y.bindings
-                && x.mode == y.mode
-                && x.coalesce == y.coalesce
-                && knactor_dxg::equivalent(&x.dxg, &y.dxg)
-        }
-        (IntegratorConfig::Sync(x), IntegratorConfig::Sync(y)) => x == y,
-        (IntegratorConfig::Continuous(x), IntegratorConfig::Continuous(y)) => x == y,
-        _ => false,
-    }
 }
 
 #[cfg(test)]
@@ -798,7 +675,8 @@ mod tests {
     #[tokio::test]
     async fn invalid_composition_is_rejected_before_touching_edges() {
         let api = api_with_stores(&["a/state", "b/state", "c/state"]).await;
-        let composer = Composer::new("t", api);
+        let before = crate::metrics::global().snapshot();
+        let composer = Composer::new("t-invalid", api);
         composer
             .apply(Composition::new().with_cast(two_edge_dxg(), bindings(), CastMode::Direct))
             .await
@@ -815,7 +693,18 @@ mod tests {
         assert!(err.is_err());
         assert_eq!(composer.edge_instance("cast:B").await, instance);
         assert_eq!(composer.edge_health("cast:B").await, Some(Health::Running));
-        assert_eq!(composer.counters().get("composer.apply.rolled_back"), 1);
+        // One lifecycle event per outcome, and per edge for the spawns.
+        let events = crate::metrics::global().snapshot().delta(&before);
+        let count = |labels: &[(&str, &str)]| {
+            let labels = [&[("composer", "t-invalid")], labels].concat();
+            events.counter_value("knactor_composer_events_total", &labels)
+        };
+        assert_eq!(count(&[("kind", "apply_ok")]), Some(1));
+        assert_eq!(count(&[("kind", "apply_rolled_back")]), Some(1));
+        assert_eq!(
+            count(&[("kind", "edges_spawned"), ("edge", "cast:B")]),
+            Some(1)
+        );
         composer.shutdown_all().await;
     }
 

@@ -18,17 +18,14 @@
 //! controller drops its partial window, restarts windowing at the resume
 //! point, and counts the event in `knactor_cq_lagged_total`.
 
-use crate::telemetry::TraceCollector;
-use knactor_expr::FnRegistry;
+use crate::integrator::{self, wrong_kind, Controller, Edge, Host, IntegratorConfig, Progress};
 use knactor_logstore::{TailEvent, WindowSpec, WindowState};
 use knactor_net::proto::QuerySpec;
-use knactor_net::ExchangeApi;
-use knactor_types::{Error, ObjectKey, Result, StoreId, Value};
-use std::sync::atomic::{AtomicU64, Ordering};
+use knactor_net::{ExchangeApi, TailRx};
+use knactor_types::{ObjectKey, Result, StoreId, Value};
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Instant;
-use tokio::sync::{mpsc, oneshot};
-use tokio::task::JoinHandle;
 
 /// Configuration of a continuous query.
 #[derive(Debug, Clone, PartialEq)]
@@ -52,123 +49,28 @@ impl ContinuousConfig {
     }
 }
 
-enum Command {
-    Reconfigure(ContinuousConfig, oneshot::Sender<Result<()>>),
-    Drain(oneshot::Sender<()>),
-    Shutdown(oneshot::Sender<()>),
-}
-
-/// Handle to a running continuous query.
-pub struct ContinuousController {
-    cmd_tx: mpsc::UnboundedSender<Command>,
-    task: JoinHandle<()>,
-    processed: Arc<AtomicU64>,
-    windows: Arc<AtomicU64>,
-    tail_pos: Arc<AtomicU64>,
-}
-
-impl ContinuousController {
-    pub async fn reconfigure(&self, config: ContinuousConfig) -> Result<()> {
-        let (tx, rx) = oneshot::channel();
-        self.cmd_tx
-            .send(Command::Reconfigure(config, tx))
-            .map_err(|_| Error::ShuttingDown)?;
-        rx.await.map_err(|_| Error::ShuttingDown)?
-    }
-
-    /// Barrier: every record the tail has already delivered is windowed
-    /// (and any windows it closed are written) before this returns.
-    pub async fn drain(&self) -> Result<()> {
-        let (tx, rx) = oneshot::channel();
-        self.cmd_tx
-            .send(Command::Drain(tx))
-            .map_err(|_| Error::ShuttingDown)?;
-        rx.await.map_err(|_| Error::ShuttingDown)
-    }
-
-    pub async fn shutdown(self) {
-        let (tx, rx) = oneshot::channel();
-        if self.cmd_tx.send(Command::Shutdown(tx)).is_ok() {
-            let _ = rx.await;
-        }
-        let _ = self.task.await;
-    }
-
-    /// Records consumed into windows so far.
-    pub fn processed(&self) -> u64 {
-        self.processed.load(Ordering::Relaxed)
-    }
-
-    /// Windows closed (and written) so far.
-    pub fn windows_closed(&self) -> u64 {
-        self.windows.load(Ordering::Relaxed)
-    }
-
-    /// Highest source sequence consumed.
-    pub fn tail_position(&self) -> u64 {
-        self.tail_pos.load(Ordering::Relaxed)
-    }
-
-    pub fn is_running(&self) -> bool {
-        !self.task.is_finished() && !self.cmd_tx.is_closed()
-    }
-}
-
 /// The continuous-query integrator factory.
-pub struct Continuous {
-    api: Arc<dyn ExchangeApi>,
-    fns: FnRegistry,
-    traces: TraceCollector,
-}
+pub struct Continuous(pub(crate) Host);
 
 impl Continuous {
     pub fn new(api: Arc<dyn ExchangeApi>) -> Continuous {
-        Continuous {
-            api,
-            fns: FnRegistry::standard(),
-            traces: TraceCollector::new(),
-        }
-    }
-
-    pub fn with_functions(mut self, fns: FnRegistry) -> Continuous {
-        self.fns = fns;
-        self
-    }
-
-    pub fn with_traces(mut self, traces: TraceCollector) -> Continuous {
-        self.traces = traces;
-        self
+        Continuous(Host::new(api))
     }
 
     /// Spawn the continuous integrator.
-    pub async fn spawn(self, config: ContinuousConfig) -> Result<ContinuousController> {
+    pub async fn spawn(self, config: ContinuousConfig) -> Result<Controller> {
         config.validate()?;
-        let (cmd_tx, cmd_rx) = mpsc::unbounded_channel();
-        let processed = Arc::new(AtomicU64::new(0));
-        let windows = Arc::new(AtomicU64::new(0));
-        let tail_pos = Arc::new(AtomicU64::new(0));
-        let task = tokio::spawn(run_loop(
-            self.api,
-            self.fns,
-            self.traces,
+        Ok(integrator::spawn(|progress| ContinuousEdge {
+            host: self.0,
             config,
-            cmd_rx,
-            Arc::clone(&processed),
-            Arc::clone(&windows),
-            Arc::clone(&tail_pos),
-        ));
-        Ok(ContinuousController {
-            cmd_tx,
-            task,
-            processed,
-            windows,
-            tail_pos,
-        })
+            state: None,
+            progress,
+        }))
     }
 }
 
-/// Mutable windowing state of the run loop, reset whenever windowing
-/// must restart from a new base (source change, lag).
+/// Windowing state, replaced whenever windowing must restart from a new
+/// base (source change, window change).
 struct CqState {
     window: WindowState,
     /// Highest source seq consumed (tail resume point).
@@ -181,140 +83,93 @@ struct CqState {
     records_total: u64,
 }
 
-/// Read the destination object back for the resume point. No object (or
-/// one this query never wrote) → start from scratch.
-async fn recover(api: &Arc<dyn ExchangeApi>, config: &ContinuousConfig) -> CqState {
-    let mut state = CqState {
-        window: WindowState::new(config.window.clone()),
-        last_seq: 0,
-        window_base: 0,
-        records_total: 0,
-    };
-    if let Ok(obj) = api
-        .get(config.dest_store.clone(), config.dest_key.clone())
-        .await
-    {
-        let v = &obj.value;
-        if v["cq"].as_str() == Some(config.name.as_str()) {
-            state.last_seq = v["end_seq"].as_u64().unwrap_or(0);
-            state.window_base = v["window"].as_u64().map(|w| w + 1).unwrap_or(0);
-            state.records_total = v["records_total"].as_u64().unwrap_or(0);
+impl CqState {
+    fn fresh(config: &ContinuousConfig) -> CqState {
+        CqState {
+            window: WindowState::new(config.window.clone()),
+            last_seq: 0,
+            window_base: 0,
+            records_total: 0,
         }
     }
-    state
+
+    /// Read the destination object back for the resume point. No object
+    /// (or one this query never wrote) → start from scratch.
+    async fn recover(api: &dyn ExchangeApi, config: &ContinuousConfig) -> CqState {
+        let mut state = CqState::fresh(config);
+        if let Ok(obj) = api
+            .get(config.dest_store.clone(), config.dest_key.clone())
+            .await
+        {
+            let v = &obj.value;
+            if v["cq"].as_str() == Some(config.name.as_str()) {
+                state.last_seq = v["end_seq"].as_u64().unwrap_or(0);
+                state.window_base = v["window"].as_u64().map(|w| w + 1).unwrap_or(0);
+                state.records_total = v["records_total"].as_u64().unwrap_or(0);
+            }
+        }
+        state
+    }
 }
 
-#[allow(clippy::too_many_arguments)]
-async fn run_loop(
-    api: Arc<dyn ExchangeApi>,
-    fns: FnRegistry,
-    traces: TraceCollector,
-    mut config: ContinuousConfig,
-    mut cmd_rx: mpsc::UnboundedReceiver<Command>,
-    processed: Arc<AtomicU64>,
-    windows: Arc<AtomicU64>,
-    tail_pos: Arc<AtomicU64>,
-) {
-    let mut state = recover(&api, &config).await;
-    tail_pos.store(state.last_seq, Ordering::Relaxed);
-    let mut tail_source = config.source.clone();
-    let mut tail_window = config.window.clone();
-    'outer: loop {
-        if config.source != tail_source || config.window != tail_window {
-            // New source or new window shape: windowing restarts from the
-            // destination's recorded resume point (same-source window
-            // changes keep the seq cursor; a new source starts over).
-            let same_source = config.source == tail_source;
-            tail_source = config.source.clone();
-            tail_window = config.window.clone();
-            state = if same_source {
-                recover(&api, &config).await
-            } else {
-                CqState {
-                    window: WindowState::new(config.window.clone()),
-                    last_seq: 0,
-                    window_base: 0,
-                    records_total: 0,
-                }
-            };
-            tail_pos.store(state.last_seq, Ordering::Relaxed);
+/// A running continuous query, as the shared run loop sees it.
+struct ContinuousEdge {
+    host: Host,
+    config: ContinuousConfig,
+    /// `None` until the next `open` recovers it from the destination
+    /// object: at start, and after a same-source window change (which
+    /// keeps the seq cursor the destination recorded).
+    state: Option<CqState>,
+    progress: Arc<Progress>,
+}
+
+impl Edge for ContinuousEdge {
+    const KIND: &'static str = "cq";
+    const TAILS: bool = true;
+    type Source = TailRx;
+
+    async fn reconfigure(&mut self, config: IntegratorConfig) -> Result<()> {
+        let IntegratorConfig::Continuous(config) = config else {
+            return Err(wrong_kind(Self::KIND, &config));
+        };
+        config.validate()?;
+        if config.source != self.config.source {
+            // A new source starts over.
+            self.state = Some(CqState::fresh(&config));
+            self.progress.tail.store(0, Ordering::Relaxed);
+        } else if config.window != self.config.window {
+            self.state = None;
         }
-        let mut tail = match api.log_tail(config.source.clone(), state.last_seq).await {
-            Ok(t) => t,
-            Err(_) => {
-                tokio::select! {
-                    cmd = cmd_rx.recv() => {
-                        match cmd {
-                            Some(Command::Reconfigure(new, ack)) => {
-                                match new.validate() {
-                                    Ok(()) => { config = new; let _ = ack.send(Ok(())); }
-                                    Err(e) => { let _ = ack.send(Err(e)); }
-                                }
-                            }
-                            Some(Command::Drain(ack)) => { let _ = ack.send(()); }
-                            Some(Command::Shutdown(ack)) => { let _ = ack.send(()); return; }
-                            None => return,
-                        }
-                    }
-                    _ = tokio::time::sleep(std::time::Duration::from_millis(200)) => {}
-                }
-                continue 'outer;
+        self.config = config;
+        Ok(())
+    }
+
+    async fn open(&mut self) -> Result<TailRx> {
+        let last_seq = match &self.state {
+            Some(state) => state.last_seq,
+            None => {
+                let state = CqState::recover(&*self.host.api, &self.config).await;
+                self.progress.tail.store(state.last_seq, Ordering::Relaxed);
+                self.state.insert(state).last_seq
             }
         };
-        loop {
-            tokio::select! {
-                cmd = cmd_rx.recv() => {
-                    match cmd {
-                        Some(Command::Reconfigure(new, ack)) => {
-                            match new.validate() {
-                                Ok(()) => {
-                                    config = new;
-                                    let _ = ack.send(Ok(()));
-                                    continue 'outer;
-                                }
-                                Err(e) => { let _ = ack.send(Err(e)); }
-                            }
-                        }
-                        Some(Command::Drain(ack)) => {
-                            while let Ok(event) = tail.try_recv() {
-                                process_event(
-                                    &api, &fns, &traces, &config, &mut state,
-                                    &processed, &windows, &tail_pos, event,
-                                )
-                                .await;
-                            }
-                            let _ = ack.send(());
-                        }
-                        Some(Command::Shutdown(ack)) => {
-                            let _ = ack.send(());
-                            return;
-                        }
-                        None => return,
-                    }
-                }
-                event = tail.recv() => {
-                    let Some(event) = event else { return };
-                    process_event(
-                        &api, &fns, &traces, &config, &mut state,
-                        &processed, &windows, &tail_pos, event,
-                    )
-                    .await;
-                }
-            }
+        let source = self.config.source.clone();
+        self.host.api.log_tail(source, last_seq).await
+    }
+
+    async fn process(&mut self, events: Vec<TailEvent>) {
+        let state = self.state.as_mut().expect("events only follow an open");
+        for event in events {
+            process_event(&self.host, &self.config, state, &self.progress, event).await;
         }
     }
 }
 
-#[allow(clippy::too_many_arguments)]
 async fn process_event(
-    api: &Arc<dyn ExchangeApi>,
-    fns: &FnRegistry,
-    traces: &TraceCollector,
+    host: &Host,
     config: &ContinuousConfig,
     state: &mut CqState,
-    processed: &AtomicU64,
-    windows: &AtomicU64,
-    tail_pos: &AtomicU64,
+    progress: &Progress,
     event: TailEvent,
 ) {
     let record = match event {
@@ -333,7 +188,7 @@ async fn process_event(
             state.window = WindowState::new(config.window.clone());
             if resume_from > state.last_seq + 1 {
                 state.last_seq = resume_from - 1;
-                tail_pos.store(state.last_seq, Ordering::Relaxed);
+                progress.tail.store(state.last_seq, Ordering::Relaxed);
             }
             return;
         }
@@ -342,8 +197,8 @@ async fn process_event(
         return; // replayed by a resumed tail; already windowed
     }
     state.last_seq = record.seq;
-    tail_pos.store(record.seq, Ordering::Relaxed);
-    processed.fetch_add(1, Ordering::Relaxed);
+    progress.tail.store(record.seq, Ordering::Relaxed);
+    progress.processed.fetch_add(1, Ordering::Relaxed);
     for closed in state.window.push(record) {
         let start = Instant::now();
         let index = state.window_base + closed.index;
@@ -355,34 +210,34 @@ async fn process_event(
             WindowSpec::SlidingCount { step, .. } => step as u64,
         };
         state.records_total += advanced;
-        let result = write_window(api, fns, config, &closed, index, state.records_total).await;
+        let result = write_window(host, config, &closed, index, state.records_total).await;
         let elapsed = start.elapsed();
         let component = format!("cq:{}", config.name);
         let trace_id = format!("{}#w{}", config.source, index);
-        traces.record(&trace_id, &component, "close-window", elapsed);
+        host.traces
+            .record(&trace_id, &component, "close-window", elapsed);
         crate::metrics::observe_stage(&component, "close-window", elapsed);
         crate::metrics::inc_activation(&component);
         crate::metrics::global()
             .counter("knactor_cq_windows_total", &[("cq", &config.name)])
             .inc();
-        windows.fetch_add(1, Ordering::Relaxed);
+        progress.windows.fetch_add(1, Ordering::Relaxed);
         // Errors are per-window; the next window still runs.
         let _ = result;
     }
 }
 
 /// Evaluate the pipeline over one closed window and upsert the rolling
-/// result object through the batched wire path.
+/// result object.
 async fn write_window(
-    api: &Arc<dyn ExchangeApi>,
-    fns: &FnRegistry,
+    host: &Host,
     config: &ContinuousConfig,
     closed: &knactor_logstore::ClosedWindow,
     index: u64,
     records_total: u64,
 ) -> Result<()> {
     let query = config.query.compile()?;
-    let rows = closed.run(&query, fns)?;
+    let rows = closed.run(&query, &host.fns)?;
     let value = serde_json::json!({
         "cq": config.name,
         "window": index,
@@ -393,18 +248,8 @@ async fn write_window(
         "records_total": records_total,
         "rows": Value::Array(rows),
     });
-    let item = knactor_store::PutItem {
-        key: config.dest_key.clone(),
-        value,
-        upsert: true,
-    };
-    api.batch_put(config.dest_store.clone(), vec![item])
-        .await?
-        .into_iter()
-        .next()
-        .ok_or_else(|| Error::Internal("empty batch reply".to_string()))?
-        .into_revision()?;
-    Ok(())
+    host.upsert(&config.dest_store, &config.dest_key, value)
+        .await
 }
 
 #[cfg(test)]
@@ -521,31 +366,6 @@ mod tests {
         assert_eq!(v["end_seq"].as_u64(), Some(8));
         assert_eq!(v["records_total"].as_u64(), Some(8));
         assert!((v["rows"][0]["total"].as_f64().unwrap() - 8.0).abs() < 1e-9);
-        controller.shutdown().await;
-    }
-
-    #[tokio::test]
-    async fn drain_is_a_window_barrier() {
-        let api = setup().await;
-        let controller = Continuous::new(Arc::clone(&api))
-            .spawn(config())
-            .await
-            .unwrap();
-        for _ in 0..4 {
-            api.log_append(StoreId::new("sensor/telemetry"), json!({"kwh": 1.0}))
-                .await
-                .unwrap();
-        }
-        controller.drain().await.unwrap();
-        // After the barrier the closed window is visible without polling.
-        let obj = api
-            .get(
-                StoreId::new("house/analytics"),
-                ObjectKey::new("energy-window"),
-            )
-            .await
-            .unwrap();
-        assert_eq!(obj.value["window"].as_u64(), Some(0));
         controller.shutdown().await;
     }
 

@@ -14,33 +14,40 @@
 //!   the carrier, write back `trackingID`).
 //! * Composition lives **outside** every service, in integrators:
 //!   [`cast::Cast`] executes a data-exchange graph over Object stores;
-//!   [`sync::Sync`] runs dataflow pipelines between Log stores.
-//! * The [`runtime::Runtime`] supervises all of it: spawn, restart on
-//!   panic, graceful shutdown (the Tokio shutdown pattern).
+//!   [`sync::Sync`] runs dataflow pipelines between Log stores;
+//!   [`continuous::Continuous`] keeps windowed queries over a log fresh.
+//! * The [`runtime::Runtime`] supervises the reconcilers: spawn, contain
+//!   panics, graceful shutdown (the Tokio shutdown pattern).
+//!
+//! All four are the same thing at run time — a task that reads a source
+//! stream and writes derived state — so they share one run loop and one
+//! handle: [`integrator`] owns the loop (open the source from the resume
+//! point, retry while it is unavailable, re-open it when the stream ends,
+//! answer commands throughout) and the [`integrator::Controller`]
+//! (reconfigure / drain / shutdown / health / stats); each kind supplies
+//! only how it takes a config, opens its source, and processes events.
 //!
 //! ## Run-time reconfiguration (§3.3)
 //!
-//! Both integrators accept configuration updates while running —
-//! [`cast::CastController::reconfigure`] swaps in a new DXG without
+//! Every integrator accepts configuration updates while running —
+//! [`integrator::Controller::reconfigure`] swaps in a new DXG without
 //! touching, rebuilding, or redeploying any knactor. That operation *is*
 //! the paper's headline claim, and Table 1's harness measures it.
 //!
 //! The [`composer`] module lifts reconfiguration from one integrator to
 //! the whole composition: applications declare a [`composer::Composition`]
 //! and [`composer::Composer::apply`] diffs it against what is running,
-//! disturbing only the edges that actually changed. Both integrator kinds
-//! share one lifecycle — the [`integrator::Integrator`] trait
-//! (reconfigure / drain / shutdown / health / stats) — which is what the
-//! composer manages.
+//! disturbing only the edges that actually changed.
 //!
 //! ## Observability
 //!
-//! [`telemetry`] threads exchange-level traces (per-activation spans)
-//! through Cast and Sync so cross-service data flows stay visible;
-//! [`telemetry::Counters`] counts composer lifecycle events. [`metrics`]
-//! is the quantitative side: a process-wide registry of counters, gauges,
-//! and latency histograms (aggregating the same stage names the traces
-//! use), scrapeable in Prometheus text format over the wire.
+//! [`telemetry`] threads exchange-level traces (per-activation spans,
+//! kept in a bounded ring) through the integrators so cross-service data
+//! flows stay visible. [`metrics`] is the quantitative side: a
+//! process-wide registry of counters, gauges, and latency histograms
+//! (aggregating the same stage names the traces use, and counting the
+//! composer's lifecycle events), scrapeable in Prometheus text format
+//! over the wire.
 
 pub mod cast;
 pub mod composer;
@@ -55,18 +62,18 @@ pub mod sync;
 pub mod telemetry;
 pub mod tuner;
 
-pub use cast::{Cast, CastBinding, CastConfig, CastController, CastMode, KeyBinding};
+pub use cast::{Cast, CastBinding, CastConfig, CastMode, KeyBinding};
 pub use composer::{
     cast_edge_actions, ApplyReport, CastSection, Composer, ComposerHealth, Composition, EdgeAction,
 };
-pub use continuous::{Continuous, ContinuousConfig, ContinuousController};
-pub use integrator::{Health, Integrator, IntegratorConfig, IntegratorStats};
+pub use continuous::{Continuous, ContinuousConfig};
+pub use integrator::{Controller, Health, IntegratorConfig, IntegratorStats};
 pub use knactor::{Knactor, KnactorBuilder};
 pub use reconciler::{FnReconciler, Reconciler, ReconcilerCtx};
 pub use runtime::Runtime;
 pub use schema_file::{parse_schema, schema_to_yaml};
 pub use sync::{Sync, SyncConfig, SyncDest, SyncMode};
-pub use telemetry::{Counters, Span, TraceCollector};
+pub use telemetry::{Span, TraceCollector};
 pub use tuner::{
     placement_for, Decision, DecisionState, EdgeObservation, Tuner, TunerConfig, TunerHandle,
     TunerPolicy,

@@ -26,11 +26,10 @@
 //! | `knactor_client_backoff_seconds` | histogram | — |
 //! | `knactor_fault_injections_total` | counter | `kind` |
 //! | `knactor_composer_apply_seconds` | histogram | `composer` |
-//! | `knactor_composer_events_total` | counter | `composer`, `kind` |
+//! | `knactor_composer_events_total` | counter | `composer`, `kind`, `edge` (per-edge kinds) |
 //! | `knactor_rpc_calls_total` | counter | `method` |
 //! | `knactor_rpc_call_seconds` | histogram | `method` |
 //! | `knactor_cast_coalesced_events_total` | counter | `integrator` |
-//! | `knactor_sync_batched_records_total` | counter | `integrator` |
 //! | `knactor_planner_cost` | gauge (ns/activation) | `composer`, `edge`, `choice` |
 //! | `knactor_planner_replans_total` | counter | `composer` |
 //! | `knactor_planner_replan_errors_total` | counter | `composer` |

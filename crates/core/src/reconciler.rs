@@ -21,7 +21,7 @@ pub struct ReconcilerCtx {
     pub store: StoreId,
     /// The knactor's log stores (telemetry it may emit).
     pub log_stores: Vec<StoreId>,
-    api: Arc<dyn ExchangeApi>,
+    pub(crate) api: Arc<dyn ExchangeApi>,
 }
 
 impl ReconcilerCtx {

@@ -1,16 +1,20 @@
 //! The Knactor runtime: deploys knactors, supervises reconcilers,
 //! coordinates graceful shutdown.
 //!
-//! Each deployed knactor gets a reconcile loop task: watch the primary
-//! store, call the reconciler per event. Supervision follows the "task
-//! per unit of failure" pattern: every `reconcile` call runs in its own
-//! task, so a panic is contained, logged, and the loop continues with the
-//! next event. Shutdown is the Tokio watch-flag pattern — all loops
-//! observe one flag and drain.
+//! Each deployed knactor gets a reconcile loop: the shared integrator
+//! run loop ([`crate::integrator`]) watching the primary store and
+//! calling the reconciler per event. Supervision follows the "task per
+//! unit of failure" pattern: every `reconcile` call runs in its own task,
+//! so a panic is contained, logged, and the loop continues with the next
+//! event. Shutdown is the Tokio watch-flag pattern for the tasks a
+//! supervised composer registers — they observe one flag and drain — and
+//! a closed command channel for the reconcile loops.
 
+use crate::integrator::{self, wrong_kind, Controller, Edge, IntegratorConfig, WatchSet};
 use crate::knactor::Knactor;
-use crate::reconciler::ReconcilerCtx;
+use crate::reconciler::{Reconciler, ReconcilerCtx};
 use knactor_net::ExchangeApi;
+use knactor_store::WatchEvent;
 use knactor_types::{Error, Result, Revision};
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -18,9 +22,14 @@ use std::sync::Arc;
 use tokio::sync::watch;
 use tokio::task::JoinHandle;
 
+/// How long shutdown waits for each task to observe it and finish — the
+/// window a supervised composer uses to drain its edges.
+const SHUTDOWN_GRACE: std::time::Duration = std::time::Duration::from_secs(10);
+
 /// Supervises a set of knactor reconcile loops.
 pub struct Runtime {
     shutdown_tx: watch::Sender<bool>,
+    pub(crate) reconcilers: Mutex<Vec<(String, Controller)>>,
     tasks: Mutex<Vec<(String, JoinHandle<()>)>>,
     /// Reconcile invocations that ended in panic (visible to tests and
     /// operators; a growing count means a sick reconciler).
@@ -38,6 +47,7 @@ impl Runtime {
         let (shutdown_tx, _) = watch::channel(false);
         Runtime {
             shutdown_tx,
+            reconcilers: Mutex::new(Vec::new()),
             tasks: Mutex::new(Vec::new()),
             panics: Arc::new(AtomicU64::new(0)),
         }
@@ -69,59 +79,19 @@ impl Runtime {
             .primary_store()
             .cloned()
             .ok_or_else(|| Error::Internal(format!("knactor {} has no store", knactor.id)))?;
-        let ctx = ReconcilerCtx::new(
-            knactor.id.clone(),
-            store.clone(),
-            knactor.log_stores.clone(),
-            Arc::clone(&api),
-        );
-        let mut shutdown = self.shutdown_tx.subscribe();
+        let ctx = ReconcilerCtx::new(knactor.id.clone(), store, knactor.log_stores.clone(), api);
         let panics = Arc::clone(&self.panics);
-        let name = knactor.id.to_string();
-        let task_name = name.clone();
-        let task = tokio::spawn(async move {
-            let mut rx = match api.watch(store.clone(), Revision::ZERO).await {
-                Ok(rx) => rx,
-                Err(_) => return,
-            };
-            loop {
-                tokio::select! {
-                    _ = shutdown.changed() => {
-                        if *shutdown.borrow() {
-                            return;
-                        }
-                    }
-                    event = rx.recv() => {
-                        let Some(event) = event else { return };
-                        let ctx = ctx.clone();
-                        let reconciler = Arc::clone(&reconciler);
-                        // Contain panics: one bad event must not kill the
-                        // loop.
-                        let handle = tokio::spawn(async move {
-                            reconciler.reconcile(&ctx, event).await
-                        });
-                        match handle.await {
-                            Ok(Ok(())) => {}
-                            Ok(Err(_e)) => {
-                                // Reconcile errors are per-event; the next
-                                // event retries naturally.
-                            }
-                            Err(join_err) if join_err.is_panic() => {
-                                panics.fetch_add(1, Ordering::Relaxed);
-                            }
-                            Err(_) => return,
-                        }
-                    }
-                }
-            }
+        let controller = integrator::spawn(|progress| ReconcileEdge {
+            ctx,
+            reconciler,
+            panics,
+            resume: Revision::ZERO,
+            progress,
         });
-        self.tasks.lock().push((task_name, task));
+        self.reconcilers
+            .lock()
+            .push((knactor.id.to_string(), controller));
         Ok(())
-    }
-
-    /// Register an externally-spawned task for shutdown tracking.
-    pub fn adopt(&self, name: impl Into<String>, task: JoinHandle<()>) {
-        self.tasks.lock().push((name.into(), task));
     }
 
     /// Replace a named task: abort the old one (if any) and track the new
@@ -141,22 +111,6 @@ impl Runtime {
         tasks.push((name, task));
     }
 
-    /// Stop tracking (and abort) a named task. Returns whether any entry
-    /// matched.
-    pub fn remove(&self, name: &str) -> bool {
-        let mut tasks = self.tasks.lock();
-        let before = tasks.len();
-        tasks.retain(|(n, t)| {
-            if n == name {
-                t.abort();
-                false
-            } else {
-                true
-            }
-        });
-        tasks.len() != before
-    }
-
     /// A shutdown flag receiver for custom components.
     pub fn shutdown_signal(&self) -> watch::Receiver<bool> {
         self.shutdown_tx.subscribe()
@@ -167,26 +121,73 @@ impl Runtime {
     }
 
     pub fn task_names(&self) -> Vec<String> {
-        self.tasks.lock().iter().map(|(n, _)| n.clone()).collect()
+        let reconcilers = self.reconcilers.lock();
+        let tasks = self.tasks.lock();
+        let names = reconcilers
+            .iter()
+            .map(|(n, _)| n)
+            .chain(tasks.iter().map(|(n, _)| n));
+        names.cloned().collect()
     }
 
-    /// Graceful shutdown: raise the flag, await every task.
+    /// Graceful shutdown: raise the flag, give every task
+    /// [`SHUTDOWN_GRACE`] to observe it and finish, then abort stragglers
+    /// so shutdown always terminates.
     pub async fn shutdown(self) {
-        self.shutdown_with_grace(std::time::Duration::from_secs(10))
-            .await;
-    }
-
-    /// Drain-aware shutdown: raise the flag, give every task `grace` to
-    /// observe it and finish (a supervised composer uses this window to
-    /// drain its edges), then abort stragglers so shutdown always
-    /// terminates.
-    pub async fn shutdown_with_grace(self, grace: std::time::Duration) {
         let _ = self.shutdown_tx.send(true);
-        let tasks: Vec<_> = self.tasks.into_inner();
+        let stopping = self.reconcilers.into_inner().into_iter();
+        let tasks = stopping
+            .map(|(name, controller)| (name, controller.stop()))
+            .chain(self.tasks.into_inner())
+            .collect::<Vec<_>>();
         for (_name, mut task) in tasks {
-            if tokio::time::timeout(grace, &mut task).await.is_err() {
+            if tokio::time::timeout(SHUTDOWN_GRACE, &mut task)
+                .await
+                .is_err()
+            {
                 task.abort();
             }
+        }
+    }
+}
+
+/// A reconcile loop, as the shared run loop sees it.
+struct ReconcileEdge {
+    ctx: ReconcilerCtx,
+    reconciler: Arc<dyn Reconciler>,
+    panics: Arc<AtomicU64>,
+    /// Highest revision reconciled: where a re-opened watch resumes.
+    resume: Revision,
+    progress: Arc<integrator::Progress>,
+}
+
+impl Edge for ReconcileEdge {
+    const KIND: &'static str = "reconciler";
+    const TAILS: bool = false;
+    type Source = WatchSet;
+
+    /// A reconciler is code, not configuration: there is nothing to swap.
+    async fn reconfigure(&mut self, config: IntegratorConfig) -> Result<()> {
+        Err(wrong_kind(Self::KIND, &config))
+    }
+
+    async fn open(&mut self) -> Result<WatchSet> {
+        WatchSet::open(&*self.ctx.api, [(self.ctx.store.clone(), self.resume)]).await
+    }
+
+    async fn process(&mut self, events: Vec<(usize, WatchEvent)>) {
+        for (_, event) in events {
+            self.resume = self.resume.max(event.revision);
+            let ctx = self.ctx.clone();
+            let reconciler = Arc::clone(&self.reconciler);
+            // Contain panics: one bad event must not kill the loop.
+            // Reconcile errors are per-event; the next event retries
+            // naturally.
+            let handle = tokio::spawn(async move { reconciler.reconcile(&ctx, event).await });
+            if handle.await.is_err_and(|e| e.is_panic()) {
+                self.panics.fetch_add(1, Ordering::Relaxed);
+            }
+            self.progress.processed.fetch_add(1, Ordering::Relaxed);
         }
     }
 }

@@ -13,15 +13,14 @@
 //! Like Cast, a running Sync is reconfigurable through its controller
 //! without touching any knactor.
 
-use crate::telemetry::TraceCollector;
+use crate::integrator::{self, wrong_kind, Controller, Edge, Host, IntegratorConfig, Progress};
+use knactor_logstore::{LogRecord, TailEvent};
 use knactor_net::proto::QuerySpec;
-use knactor_net::ExchangeApi;
+use knactor_net::{ExchangeApi, TailRx};
 use knactor_types::{Error, FieldPath, ObjectKey, Result, StoreId, Value};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Instant;
-use tokio::sync::{mpsc, oneshot};
-use tokio::task::JoinHandle;
 
 /// Where pipeline output goes.
 #[derive(Debug, Clone, PartialEq)]
@@ -57,14 +56,6 @@ pub struct SyncConfig {
     pub dest: SyncDest,
     pub query: QuerySpec,
     pub mode: SyncMode,
-    /// Batch threshold: how many already-tailed records one loop turn
-    /// may fold into a single delivery. Stream mode still runs the
-    /// pipeline per record (aggregation semantics are per-record) but
-    /// ships all produced rows in one batched append; Snapshot mode
-    /// collapses the batch into a single re-query (earlier refreshes
-    /// are subsumed by the last). `0`/`1` disable batching. The cost
-    /// model suggests a value from the observed record rate.
-    pub max_batch: usize,
 }
 
 impl SyncConfig {
@@ -83,88 +74,12 @@ impl SyncConfig {
     }
 }
 
-enum Command {
-    Reconfigure(SyncConfig, oneshot::Sender<Result<()>>),
-    Drain(oneshot::Sender<()>),
-    Shutdown(oneshot::Sender<()>),
-}
-
-/// Handle to a running Sync task.
-pub struct SyncController {
-    cmd_tx: mpsc::UnboundedSender<Command>,
-    task: JoinHandle<()>,
-    processed: Arc<AtomicU64>,
-    tail_pos: Arc<AtomicU64>,
-}
-
-impl SyncController {
-    pub async fn reconfigure(&self, config: SyncConfig) -> Result<()> {
-        let (tx, rx) = oneshot::channel();
-        self.cmd_tx
-            .send(Command::Reconfigure(config, tx))
-            .map_err(|_| Error::ShuttingDown)?;
-        rx.await.map_err(|_| Error::ShuttingDown)?
-    }
-
-    /// Finish the work already queued: every record the tail has
-    /// delivered by the time the drain is handled is processed before
-    /// the call returns. Records appended afterwards still flow; drain
-    /// is a barrier, not a stop.
-    pub async fn drain(&self) -> Result<()> {
-        let (tx, rx) = oneshot::channel();
-        self.cmd_tx
-            .send(Command::Drain(tx))
-            .map_err(|_| Error::ShuttingDown)?;
-        rx.await.map_err(|_| Error::ShuttingDown)
-    }
-
-    pub async fn shutdown(self) {
-        let (tx, rx) = oneshot::channel();
-        if self.cmd_tx.send(Command::Shutdown(tx)).is_ok() {
-            let _ = rx.await;
-        }
-        let _ = self.task.await;
-    }
-
-    /// Records processed so far (test synchronization).
-    pub fn processed(&self) -> u64 {
-        self.processed.load(Ordering::Relaxed)
-    }
-
-    /// Highest source sequence processed. Survives reconfiguration (the
-    /// tail resumes here, so nothing is re-delivered) and is the value
-    /// composer tests assert to prove an edge was not disturbed.
-    pub fn tail_position(&self) -> u64 {
-        self.tail_pos.load(Ordering::Relaxed)
-    }
-
-    /// True while the integrator task is alive and accepting commands.
-    pub fn is_running(&self) -> bool {
-        !self.task.is_finished() && !self.cmd_tx.is_closed()
-    }
-}
-
 /// The Sync integrator factory.
-pub struct Sync {
-    api: Arc<dyn ExchangeApi>,
-    traces: TraceCollector,
-}
+pub struct Sync(pub(crate) Host);
 
 impl Sync {
     pub fn new(api: Arc<dyn ExchangeApi>) -> Sync {
-        Sync {
-            api,
-            traces: TraceCollector::new(),
-        }
-    }
-
-    pub fn with_traces(mut self, traces: TraceCollector) -> Sync {
-        self.traces = traces;
-        self
-    }
-
-    pub fn traces(&self) -> &TraceCollector {
-        &self.traces
+        Sync(Host::new(api))
     }
 
     /// Run the pipeline once over the full source log and deliver the
@@ -172,242 +87,150 @@ impl Sync {
     pub async fn run_once(&self, config: &SyncConfig) -> Result<usize> {
         config.validate()?;
         let rows = self
+            .0
             .api
             .log_query(config.source.clone(), config.query.clone())
             .await?;
         let n = rows.len();
-        deliver(&*self.api, config, rows).await?;
+        deliver(&self.0, config, rows).await?;
         Ok(n)
     }
 
     /// Spawn the continuous integrator.
-    pub async fn spawn(self, config: SyncConfig) -> Result<SyncController> {
+    pub async fn spawn(self, config: SyncConfig) -> Result<Controller> {
         config.validate()?;
-        let (cmd_tx, cmd_rx) = mpsc::unbounded_channel();
-        let processed = Arc::new(AtomicU64::new(0));
-        let tail_pos = Arc::new(AtomicU64::new(0));
-        let task = tokio::spawn(run_loop(
-            self.api,
-            self.traces,
+        Ok(integrator::spawn(|progress| SyncEdge {
+            host: self.0,
             config,
-            cmd_rx,
-            Arc::clone(&processed),
-            Arc::clone(&tail_pos),
-        ));
-        Ok(SyncController {
-            cmd_tx,
-            task,
-            processed,
-            tail_pos,
-        })
+            last_seq: 0,
+            progress,
+        }))
     }
 }
 
-async fn run_loop(
-    api: Arc<dyn ExchangeApi>,
-    traces: TraceCollector,
-    mut config: SyncConfig,
-    mut cmd_rx: mpsc::UnboundedReceiver<Command>,
-    processed: Arc<AtomicU64>,
-    tail_pos: Arc<AtomicU64>,
-) {
-    // Resume point: highest source sequence already processed. Survives
-    // re-tailing (reconfigure, transport loss) so records are not
-    // re-delivered to the destination; resets when the source changes.
-    let mut last_seq: u64 = 0;
-    let mut tail_source = config.source.clone();
-    'outer: loop {
-        if config.source != tail_source {
-            tail_source = config.source.clone();
-            last_seq = 0;
-            tail_pos.store(0, Ordering::Relaxed);
+/// A running Sync, as the shared run loop sees it.
+struct SyncEdge {
+    host: Host,
+    config: SyncConfig,
+    /// Resume point: highest source sequence already processed. Survives
+    /// re-tailing (reconfigure, transport loss) so records are not
+    /// re-delivered to the destination; resets when the source changes.
+    last_seq: u64,
+    progress: Arc<Progress>,
+}
+
+impl SyncEdge {
+    fn advance_to(&mut self, seq: u64) {
+        self.last_seq = seq;
+        self.progress.tail.store(seq, Ordering::Relaxed);
+    }
+}
+
+impl Edge for SyncEdge {
+    const KIND: &'static str = "sync";
+    const TAILS: bool = true;
+    type Source = TailRx;
+
+    async fn reconfigure(&mut self, config: IntegratorConfig) -> Result<()> {
+        let IntegratorConfig::Sync(config) = config else {
+            return Err(wrong_kind(Self::KIND, &config));
+        };
+        config.validate()?;
+        if config.source != self.config.source {
+            self.advance_to(0);
         }
-        let mut tail = match api.log_tail(config.source.clone(), last_seq).await {
-            Ok(t) => t,
-            Err(_) => {
-                // Source unavailable — retry with backoff while still
-                // answering commands.
-                tokio::select! {
-                    cmd = cmd_rx.recv() => {
-                        match cmd {
-                            Some(Command::Reconfigure(new, ack)) => {
-                                match new.validate() {
-                                    Ok(()) => {
-                                        config = new;
-                                        let _ = ack.send(Ok(()));
-                                    }
-                                    Err(e) => { let _ = ack.send(Err(e)); }
-                                }
-                            }
-                            // Nothing tailed → nothing queued to finish.
-                            Some(Command::Drain(ack)) => { let _ = ack.send(()); }
-                            Some(Command::Shutdown(ack)) => {
-                                let _ = ack.send(());
-                                return;
-                            }
-                            None => return,
+        self.config = config;
+        Ok(())
+    }
+
+    async fn open(&mut self) -> Result<TailRx> {
+        let source = self.config.source.clone();
+        self.host.api.log_tail(source, self.last_seq).await
+    }
+
+    /// Run tailed events through the configured pipeline: lag notices
+    /// (source retention outran the tail) jump the resume point forward,
+    /// replayed records are deduplicated against it, and the fresh
+    /// remainder delivers as **one** destination operation. Stream mode
+    /// runs the pipeline per record but ships all produced rows in a
+    /// single batched append; Snapshot mode collapses the batch into one
+    /// re-query — every earlier refresh is subsumed by the last.
+    async fn process(&mut self, events: Vec<TailEvent>) {
+        let mut fresh: Vec<LogRecord> = Vec::new();
+        for event in events {
+            match event {
+                // Replayed by a resumed tail; already processed.
+                TailEvent::Record(record) if record.seq <= self.last_seq => {}
+                TailEvent::Record(record) => {
+                    self.advance_to(record.seq);
+                    fresh.push(record);
+                }
+                TailEvent::Lagged { resume_from, .. } => {
+                    if resume_from > self.last_seq + 1 {
+                        self.advance_to(resume_from - 1);
+                    }
+                }
+            }
+        }
+        if fresh.is_empty() {
+            return;
+        }
+        let host = &self.host;
+        let config = &self.config;
+        let n = fresh.len();
+        let component = format!("sync:{}", config.name);
+        let start = Instant::now();
+        let result = match config.mode {
+            SyncMode::Stream => match config.query.compile() {
+                Ok(q) => {
+                    let mut rows = Vec::new();
+                    for record in &fresh {
+                        // Per-record pipeline errors skip that record only.
+                        if let Ok(mut out) = q.run(std::iter::once(record.fields.clone())) {
+                            rows.append(&mut out);
                         }
                     }
-                    _ = tokio::time::sleep(std::time::Duration::from_millis(200)) => {}
+                    deliver(host, config, rows).await
                 }
-                continue 'outer;
+                Err(e) => Err(e),
+            },
+            SyncMode::Snapshot => {
+                match host
+                    .api
+                    .log_query(config.source.clone(), config.query.clone())
+                    .await
+                {
+                    Ok(rows) => deliver(host, config, rows).await,
+                    Err(e) => Err(e),
+                }
             }
         };
-        loop {
-            tokio::select! {
-                cmd = cmd_rx.recv() => {
-                    match cmd {
-                        Some(Command::Reconfigure(new, ack)) => {
-                            match new.validate() {
-                                Ok(()) => {
-                                    config = new;
-                                    let _ = ack.send(Ok(()));
-                                    continue 'outer;
-                                }
-                                Err(e) => { let _ = ack.send(Err(e)); }
-                            }
-                        }
-                        Some(Command::Drain(ack)) => {
-                            // Barrier: everything the tail already
-                            // delivered is processed before the ack.
-                            let mut events = Vec::new();
-                            while let Ok(event) = tail.try_recv() {
-                                events.push(event);
-                            }
-                            process_batch(
-                                &api, &traces, &config, &mut last_seq,
-                                &processed, &tail_pos, events,
-                            )
-                            .await;
-                            let _ = ack.send(());
-                        }
-                        Some(Command::Shutdown(ack)) => {
-                            let _ = ack.send(());
-                            return;
-                        }
-                        None => return,
-                    }
-                }
-                event = tail.recv() => {
-                    let Some(event) = event else { return };
-                    // Fold up to `max_batch` already-tailed events into
-                    // one delivery (see `SyncConfig::max_batch`).
-                    let mut events = vec![event];
-                    while events.len() < config.max_batch.max(1) {
-                        let Ok(e) = tail.try_recv() else { break };
-                        events.push(e);
-                    }
-                    process_batch(
-                        &api, &traces, &config, &mut last_seq,
-                        &processed, &tail_pos, events,
-                    )
-                    .await;
-                }
-            }
+        let elapsed = start.elapsed();
+        // Attribute the batch cost evenly so per-record stage sums stay
+        // comparable across batch sizes.
+        let share = elapsed / n as u32;
+        for record in &fresh {
+            let trace_id = format!("{}#{}", config.source, record.seq);
+            host.traces
+                .record(&trace_id, &component, "process-record", share);
+            crate::metrics::observe_stage(&component, "process-record", share);
+            crate::metrics::inc_activation(&component);
         }
+        // Errors are per-batch; keep tailing.
+        let _ = result;
+        self.progress
+            .processed
+            .fetch_add(n as u64, Ordering::Relaxed);
     }
 }
 
-/// Handle one tail event: records run the pipeline; a typed lag notice
-/// (source retention outran the tail) jumps the resume point forward so
-/// the post-lag records flow without being mistaken for replays.
-/// Run a batch of tailed events through the configured pipeline: lag
-/// notices jump the resume point, replayed records are deduplicated
-/// against it, and the fresh remainder delivers as **one** destination
-/// operation. Stream mode still runs the pipeline per record (any
-/// per-record aggregation keeps its semantics) but ships all produced
-/// rows in a single batched append; Snapshot mode collapses the batch
-/// into one re-query — every earlier refresh is subsumed by the last.
-async fn process_batch(
-    api: &Arc<dyn ExchangeApi>,
-    traces: &TraceCollector,
-    config: &SyncConfig,
-    last_seq: &mut u64,
-    processed: &AtomicU64,
-    tail_pos: &AtomicU64,
-    events: Vec<knactor_logstore::TailEvent>,
-) {
-    let mut fresh: Vec<knactor_logstore::LogRecord> = Vec::new();
-    for event in events {
-        match event {
-            knactor_logstore::TailEvent::Record(record) => {
-                if record.seq <= *last_seq {
-                    // Replayed by a resumed tail; already processed.
-                    continue;
-                }
-                *last_seq = record.seq;
-                tail_pos.store(record.seq, Ordering::Relaxed);
-                fresh.push(record);
-            }
-            knactor_logstore::TailEvent::Lagged { resume_from, .. } => {
-                if resume_from > *last_seq + 1 {
-                    *last_seq = resume_from - 1;
-                    tail_pos.store(*last_seq, Ordering::Relaxed);
-                }
-            }
-        }
-    }
-    if fresh.is_empty() {
-        return;
-    }
-    let n = fresh.len();
-    let component = format!("sync:{}", config.name);
-    let start = Instant::now();
-    let result = match config.mode {
-        SyncMode::Stream => match config.query.compile() {
-            Ok(q) => {
-                let mut rows = Vec::new();
-                for record in &fresh {
-                    // Per-record pipeline errors skip that record only,
-                    // exactly as unbatched processing did.
-                    if let Ok(mut out) = q.run(std::iter::once(record.fields.clone())) {
-                        rows.append(&mut out);
-                    }
-                }
-                deliver(&**api, config, rows).await
-            }
-            Err(e) => Err(e),
-        },
-        SyncMode::Snapshot => {
-            match api
-                .log_query(config.source.clone(), config.query.clone())
-                .await
-            {
-                Ok(rows) => deliver(&**api, config, rows).await,
-                Err(e) => Err(e),
-            }
-        }
-    };
-    let elapsed = start.elapsed();
-    // Attribute the batch cost evenly so per-record stage sums stay
-    // comparable across batch sizes.
-    let share = elapsed / n as u32;
-    for record in &fresh {
-        let trace_id = format!("{}#{}", config.source, record.seq);
-        traces.record(&trace_id, &component, "process-record", share);
-        crate::metrics::observe_stage(&component, "process-record", share);
-        crate::metrics::inc_activation(&component);
-    }
-    if n > 1 {
-        crate::metrics::global()
-            .counter(
-                "knactor_sync_batched_records_total",
-                &[("integrator", &component)],
-            )
-            .add(n as u64);
-    }
-    // Errors are per-batch; keep tailing.
-    let _ = result;
-    processed.fetch_add(n as u64, Ordering::Relaxed);
-}
-
-async fn deliver(api: &dyn ExchangeApi, config: &SyncConfig, rows: Vec<Value>) -> Result<()> {
+async fn deliver(host: &Host, config: &SyncConfig, rows: Vec<Value>) -> Result<()> {
     if rows.is_empty() {
         return Ok(());
     }
     match &config.dest {
         SyncDest::Log(dest) => {
-            api.log_append_batch(dest.clone(), rows).await?;
+            host.api.log_append_batch(dest.clone(), rows).await?;
             Ok(())
         }
         SyncDest::ObjectField { store, key, field } => {
@@ -426,20 +249,7 @@ async fn deliver(api: &dyn ExchangeApi, config: &SyncConfig, rows: Vec<Value>) -
             };
             let mut patch = Value::Object(serde_json::Map::new());
             knactor_types::value::set_path(&mut patch, field, value)?;
-            // Through the batched wire op so snapshot refreshes share the
-            // exchange's group-commit path with Cast's writes.
-            let item = knactor_store::PutItem {
-                key: key.clone(),
-                value: patch,
-                upsert: true,
-            };
-            api.batch_put(store.clone(), vec![item])
-                .await?
-                .into_iter()
-                .next()
-                .ok_or_else(|| Error::Internal("empty batch reply".to_string()))?
-                .into_revision()?;
-            Ok(())
+            host.upsert(store, key, patch).await
         }
     }
 }
@@ -494,7 +304,6 @@ mod tests {
                 ],
             },
             mode: SyncMode::Stream,
-            max_batch: 1,
         };
         let controller = Sync::new(Arc::clone(&api)).spawn(config).await.unwrap();
 
@@ -554,7 +363,6 @@ mod tests {
                 }],
             },
             mode: SyncMode::Snapshot,
-            max_batch: 1,
         };
         let controller = Sync::new(Arc::clone(&api)).spawn(config).await.unwrap();
 
@@ -602,7 +410,6 @@ mod tests {
                 }],
             },
             mode: SyncMode::Stream,
-            max_batch: 1,
         };
         let n = Sync::new(Arc::clone(&api)).run_once(&config).await.unwrap();
         assert_eq!(n, 3);
@@ -623,7 +430,6 @@ mod tests {
             dest: SyncDest::Log(StoreId::new("a/log")),
             query: QuerySpec::default(),
             mode: SyncMode::Stream,
-            max_batch: 1,
         };
         assert!(matches!(
             Sync::new(api).spawn(config).await,
@@ -644,7 +450,6 @@ mod tests {
             dest: SyncDest::Log(StoreId::new("dst/log")),
             query: QuerySpec::default(),
             mode: SyncMode::Stream,
-            max_batch: 1,
         };
         let controller = Sync::new(Arc::clone(&api))
             .spawn(pass_all.clone())

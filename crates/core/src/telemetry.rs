@@ -8,6 +8,7 @@
 //! pattern, applied to exchanged state).
 
 use parking_lot::Mutex;
+use std::collections::VecDeque;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -34,10 +35,15 @@ impl Span {
     }
 }
 
-/// A process-wide collector integrators report into.
+/// How many spans a [`TraceCollector`] keeps: roughly the last thousand
+/// activations at ~4 spans each.
+const SPAN_CAPACITY: usize = 4096;
+
+/// A process-wide collector integrators report into: a ring of the most
+/// recent `SPAN_CAPACITY` spans, dropping the oldest first.
 #[derive(Clone, Default)]
 pub struct TraceCollector {
-    spans: Arc<Mutex<Vec<Span>>>,
+    spans: Arc<Mutex<VecDeque<Span>>>,
 }
 
 impl std::fmt::Debug for TraceCollector {
@@ -52,7 +58,11 @@ impl TraceCollector {
     }
 
     pub fn record(&self, trace_id: &str, component: &str, stage: &str, duration: Duration) {
-        self.spans.lock().push(Span {
+        let mut spans = self.spans.lock();
+        if spans.len() == SPAN_CAPACITY {
+            spans.pop_front();
+        }
+        spans.push_back(Span {
             trace_id: trace_id.to_string(),
             component: component.to_string(),
             stage: stage.to_string(),
@@ -75,9 +85,10 @@ impl TraceCollector {
         out
     }
 
-    /// All spans recorded so far (clone; collection keeps accumulating).
+    /// The retained spans, oldest first (clone; collection keeps
+    /// accumulating).
     pub fn spans(&self) -> Vec<Span> {
-        self.spans.lock().clone()
+        self.spans.lock().iter().cloned().collect()
     }
 
     /// Spans belonging to one activation.
@@ -90,7 +101,7 @@ impl TraceCollector {
             .collect()
     }
 
-    /// Total time per stage across all activations (benchmark reporting).
+    /// Total time per stage across the retained spans (benchmark reporting).
     pub fn stage_totals(&self) -> Vec<(String, Duration)> {
         let mut totals: std::collections::BTreeMap<String, Duration> = Default::default();
         for span in self.spans.lock().iter() {
@@ -104,74 +115,9 @@ impl TraceCollector {
     }
 }
 
-/// Named monotone counters (composer apply outcomes, per-edge restart
-/// counts, …). Spans time *stages*; counters count *events* — the
-/// composer records both: an `apply` span for latency and counters like
-/// `composer.edge.cast:S.restarts` for lifecycle accounting.
-#[derive(Clone, Default)]
-pub struct Counters {
-    inner: Arc<Mutex<std::collections::BTreeMap<String, u64>>>,
-}
-
-impl std::fmt::Debug for Counters {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "Counters({} names)", self.inner.lock().len())
-    }
-}
-
-impl Counters {
-    pub fn new() -> Counters {
-        Counters::default()
-    }
-
-    /// Add `by` to `name`, returning the new value.
-    pub fn add(&self, name: &str, by: u64) -> u64 {
-        let mut inner = self.inner.lock();
-        let slot = inner.entry(name.to_string()).or_insert(0);
-        *slot += by;
-        *slot
-    }
-
-    /// Increment `name` by one, returning the new value.
-    pub fn incr(&self, name: &str) -> u64 {
-        self.add(name, 1)
-    }
-
-    /// Current value of `name` (0 when never incremented).
-    pub fn get(&self, name: &str) -> u64 {
-        self.inner.lock().get(name).copied().unwrap_or(0)
-    }
-
-    /// All counters, sorted by name.
-    pub fn snapshot(&self) -> Vec<(String, u64)> {
-        self.inner
-            .lock()
-            .iter()
-            .map(|(k, v)| (k.clone(), *v))
-            .collect()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn counters_accumulate_and_snapshot() {
-        let c = Counters::new();
-        assert_eq!(c.get("composer.apply.ok"), 0);
-        assert_eq!(c.incr("composer.apply.ok"), 1);
-        assert_eq!(c.add("composer.apply.ok", 2), 3);
-        c.incr("composer.apply.rolled_back");
-        let snap = c.snapshot();
-        assert_eq!(
-            snap,
-            vec![
-                ("composer.apply.ok".to_string(), 3),
-                ("composer.apply.rolled_back".to_string(), 1),
-            ]
-        );
-    }
 
     #[test]
     fn record_and_query() {
@@ -202,6 +148,18 @@ mod tests {
         assert_eq!(eval.1, Duration::from_millis(3));
         tc.clear();
         assert!(tc.spans().is_empty());
+    }
+
+    #[test]
+    fn ring_keeps_the_newest_spans_in_order() {
+        let tc = TraceCollector::new();
+        for i in 0..SPAN_CAPACITY + 10 {
+            tc.record(&i.to_string(), "c", "s", Duration::ZERO);
+        }
+        let ids: Vec<String> = tc.spans().into_iter().map(|s| s.trace_id).collect();
+        let expected: Vec<String> = (10..SPAN_CAPACITY + 10).map(|i| i.to_string()).collect();
+        assert_eq!(ids, expected);
+        assert!(tc.trace("9").is_empty());
     }
 
     #[test]

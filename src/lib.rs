@@ -82,10 +82,9 @@ pub use knactor_yamlish as yamlish;
 /// The names most programs need.
 pub mod prelude {
     pub use knactor_core::{
-        ApplyReport, Cast, CastBinding, CastConfig, CastController, CastMode, Composer,
-        Composition, Counters, FnReconciler, Health, Integrator, IntegratorConfig, IntegratorStats,
-        Knactor, KnactorBuilder, Reconciler, ReconcilerCtx, Runtime, Sync, SyncConfig, SyncDest,
-        SyncMode, TraceCollector,
+        ApplyReport, Cast, CastBinding, CastConfig, CastMode, Composer, Composition, Controller,
+        FnReconciler, Health, IntegratorConfig, IntegratorStats, Knactor, KnactorBuilder,
+        Reconciler, ReconcilerCtx, Runtime, Sync, SyncConfig, SyncDest, SyncMode, TraceCollector,
     };
     pub use knactor_dxg::{Dxg, Plan};
     pub use knactor_expr::{Env, FnRegistry};

@@ -56,7 +56,6 @@ fn relay_sync() -> SyncConfig {
             }],
         },
         mode: SyncMode::Stream,
-        max_batch: 1,
     }
 }
 
@@ -196,7 +195,8 @@ async fn failed_apply_rolls_back_to_previous_composition() {
             .unwrap();
     }
 
-    let composer = Composer::new("live", Arc::clone(&api));
+    let before = knactor::core::metrics::global().snapshot();
+    let composer = Composer::new("live-rollback", Arc::clone(&api));
     let v1_spec = "Input:\n  A: Demo/v1/A/a\n  B: Demo/v1/B/b\nDXG:\n  B:\n    copied: A.tag\n";
     let mut v1_bindings = BTreeMap::new();
     v1_bindings.insert("A".to_string(), CastBinding::correlated("a/state"));
@@ -223,8 +223,13 @@ async fn failed_apply_rolls_back_to_previous_composition() {
         Composition::new().with_cast(Dxg::parse(v2_spec).unwrap(), v2_bindings, CastMode::Direct);
     let err = composer.apply(v2).await.unwrap_err();
     assert!(!format!("{err}").is_empty());
-    assert_eq!(composer.counters().get("composer.apply.rolled_back"), 1);
-    assert_eq!(composer.counters().get("composer.apply.rollback_failed"), 0);
+    let events = knactor::core::metrics::global().snapshot().delta(&before);
+    let count = |kind| {
+        let labels = [("composer", "live-rollback"), ("kind", kind)];
+        events.counter_value("knactor_composer_events_total", &labels)
+    };
+    assert_eq!(count("apply_rolled_back"), Some(1));
+    assert_eq!(count("rollback_failed").unwrap_or(0), 0);
 
     // The world is exactly the pre-apply one: same single edge, same
     // task instance, still healthy.

@@ -101,7 +101,6 @@ async fn scraped_metrics_agree_with_delivered_records() {
                 }],
             },
             mode: SyncMode::Stream,
-            max_batch: 1,
         });
     let composer = Composer::new("obs-e2e", Arc::clone(&api));
     let report = composer.apply(composition).await.unwrap();
