@@ -258,7 +258,7 @@ async fn run_tuned(
     let lost = total_keys - objects.len().min(total_keys);
     tokio::time::sleep(Duration::from_millis(200)).await;
     let mut per_key: BTreeMap<String, usize> = BTreeMap::new();
-    while let Ok(event) = target_events.try_recv() {
+    while let Some(event) = target_events.try_recv() {
         if !event.is_delete() {
             *per_key.entry(event.key.as_str().to_string()).or_default() += 1;
         }

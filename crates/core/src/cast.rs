@@ -27,7 +27,7 @@
 //! knactor is touched, rebuilt, or redeployed.
 
 use crate::integrator::{
-    self, wrong_kind, Controller, Edge, Host, IntegratorConfig, Progress, WatchSet,
+    self, wrong_kind, Controller, Edge, Host, IntegratorConfig, Progress, Source,
 };
 use crate::metrics::{global, inc_activation, observe_stage};
 use crate::telemetry::TraceCollector;
@@ -204,7 +204,7 @@ struct CastEdge {
 impl Edge for CastEdge {
     const KIND: &'static str = "cast";
     const TAILS: bool = false;
-    type Source = WatchSet;
+    type Event = WatchEvent;
 
     async fn reconfigure(&mut self, config: IntegratorConfig) -> Result<()> {
         let IntegratorConfig::Cast(config) = config else {
@@ -233,7 +233,7 @@ impl Edge for CastEdge {
         Ok(())
     }
 
-    async fn open(&mut self) -> Result<WatchSet> {
+    async fn open(&mut self) -> Result<Source<Self::Event>> {
         let aliases = watch_aliases(&self.config.dxg);
         self.resume.resize(aliases.len(), Revision::ZERO);
         let sources: Vec<_> = aliases
@@ -241,7 +241,7 @@ impl Edge for CastEdge {
             .zip(&self.resume)
             .map(|(alias, from)| (self.config.bindings[alias].store.clone(), *from))
             .collect();
-        WatchSet::open(&*self.host.api, sources).await
+        integrator::watches(&*self.host.api, sources).await
     }
 
     fn fold_limit(&self) -> usize {

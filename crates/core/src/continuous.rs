@@ -18,10 +18,12 @@
 //! controller drops its partial window, restarts windowing at the resume
 //! point, and counts the event in `knactor_cq_lagged_total`.
 
-use crate::integrator::{self, wrong_kind, Controller, Edge, Host, IntegratorConfig, Progress};
+use crate::integrator::{
+    self, wrong_kind, Controller, Edge, Host, IntegratorConfig, Progress, Source,
+};
 use knactor_logstore::{TailEvent, WindowSpec, WindowState};
 use knactor_net::proto::QuerySpec;
-use knactor_net::{ExchangeApi, TailRx};
+use knactor_net::ExchangeApi;
 use knactor_types::{ObjectKey, Result, StoreId, Value};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -126,7 +128,7 @@ struct ContinuousEdge {
 impl Edge for ContinuousEdge {
     const KIND: &'static str = "cq";
     const TAILS: bool = true;
-    type Source = TailRx;
+    type Event = TailEvent;
 
     async fn reconfigure(&mut self, config: IntegratorConfig) -> Result<()> {
         let IntegratorConfig::Continuous(config) = config else {
@@ -144,7 +146,7 @@ impl Edge for ContinuousEdge {
         Ok(())
     }
 
-    async fn open(&mut self) -> Result<TailRx> {
+    async fn open(&mut self) -> Result<Source<TailEvent>> {
         let last_seq = match &self.state {
             Some(state) => state.last_seq,
             None => {
@@ -154,12 +156,12 @@ impl Edge for ContinuousEdge {
             }
         };
         let source = self.config.source.clone();
-        self.host.api.log_tail(source, last_seq).await
+        integrator::tail(&*self.host.api, source, last_seq).await
     }
 
-    async fn process(&mut self, events: Vec<TailEvent>) {
+    async fn process(&mut self, events: Vec<(usize, TailEvent)>) {
         let state = self.state.as_mut().expect("events only follow an open");
-        for event in events {
+        for (_, event) in events {
             process_event(&self.host, &self.config, state, &self.progress, event).await;
         }
     }

@@ -29,15 +29,16 @@ use crate::continuous::{Continuous, ContinuousConfig};
 use crate::sync::{Sync, SyncConfig};
 use crate::telemetry::TraceCollector;
 use knactor_expr::FnRegistry;
-use knactor_net::{ExchangeApi, TailRx, WatchRx};
-use knactor_store::{EventKind, PutItem, WatchEvent};
+use knactor_logstore::TailEvent;
+use knactor_net::api::{tail_event, watch_event};
+use knactor_net::proto::Request;
+use knactor_net::stream::{establish, Merge, Position};
+use knactor_net::ExchangeApi;
+use knactor_store::{PutItem, WatchEvent};
 use knactor_types::{Error, ObjectKey, Result, Revision, StoreId, Value};
-use std::collections::VecDeque;
-use std::future::{poll_fn, Future};
-use std::pin::pin;
+use std::future::Future;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::task::Poll;
 use std::time::Duration;
 use tokio::sync::{mpsc, oneshot};
 use tokio::task::JoinHandle;
@@ -201,31 +202,22 @@ pub(crate) struct Progress {
     pub(crate) tail: AtomicU64,
 }
 
-/// An open source stream.
-pub(crate) trait Source: Send {
-    type Event: Send;
-
-    /// Next event; `None` when the stream has ended.
-    fn recv(&mut self) -> impl Future<Output = Option<Self::Event>> + Send;
-
-    /// An event that is already queued, if any.
-    fn try_recv(&mut self) -> Option<Self::Event>;
-}
-
 /// The per-kind part of an integrator; [`run`] owns the rest.
 pub(crate) trait Edge: Send + 'static {
     const KIND: &'static str;
     /// Whether the source is a log tail, i.e. `Progress::tail` means
     /// something.
     const TAILS: bool;
-    type Source: Source;
+    /// What the source delivers, tagged with the index of the stream it
+    /// came from: [`TailEvent`]s or [`WatchEvent`]s.
+    type Event: Send;
 
     /// Validate and prepare `config`, then swap it in. `Err` (invalid, or
     /// of another kind) must leave the old config running.
     fn reconfigure(&mut self, config: IntegratorConfig) -> impl Future<Output = Result<()>> + Send;
 
     /// Open the source from the resume point.
-    fn open(&mut self) -> impl Future<Output = Result<Self::Source>> + Send;
+    fn open(&mut self) -> impl Future<Output = Result<Source<Self::Event>>> + Send;
 
     /// How many already-queued events one loop turn may fold into a
     /// single [`Edge::process`] call.
@@ -235,10 +227,7 @@ pub(crate) trait Edge: Send + 'static {
 
     /// Process events in arrival order and advance the resume point past
     /// them. Failures are per event, never fatal: the loop keeps running.
-    fn process(
-        &mut self,
-        events: Vec<<Self::Source as Source>::Event>,
-    ) -> impl Future<Output = ()> + Send;
+    fn process(&mut self, events: Vec<(usize, Self::Event)>) -> impl Future<Output = ()> + Send;
 }
 
 /// The error for a config handed to an integrator of another kind.
@@ -402,7 +391,7 @@ async fn run<E: Edge>(mut edge: E, mut cmd_rx: mpsc::UnboundedReceiver<Command>)
 
 /// The next event of an open source; with none open, the retry delay and
 /// then `None`, exactly as if a stream had ended.
-async fn next<S: Source>(source: &mut Option<S>) -> Option<S::Event> {
+async fn next<E>(source: &mut Option<Source<E>>) -> Option<(usize, E)> {
     match source {
         Some(source) => source.recv().await,
         None => {
@@ -413,7 +402,11 @@ async fn next<S: Source>(source: &mut Option<S>) -> Option<S::Event> {
 }
 
 /// Extend `batch` with events the source already holds, up to `limit`.
-fn take_queued<S: Source>(source: &mut S, mut batch: Vec<S::Event>, limit: usize) -> Vec<S::Event> {
+fn take_queued<E>(
+    source: &mut Source<E>,
+    mut batch: Vec<(usize, E)>,
+    limit: usize,
+) -> Vec<(usize, E)> {
     while batch.len() < limit {
         let Some(event) = source.try_recv() else {
             break;
@@ -423,101 +416,44 @@ fn take_queued<S: Source>(source: &mut S, mut batch: Vec<S::Event>, limit: usize
     batch
 }
 
-impl Source for TailRx {
-    type Event = knactor_logstore::TailEvent;
+/// An open source: the streams of one or several stores merged into one
+/// (`knactor_net::stream::Merge`) and typed; an event carries the index of
+/// its stream. The source ends as soon as any one stream ends, so its owner
+/// re-opens all of them from their resume points.
+pub(crate) type Source<T> = Merge<T>;
 
-    fn recv(&mut self) -> impl Future<Output = Option<Self::Event>> + Send {
-        TailRx::recv(self)
-    }
-
-    fn try_recv(&mut self) -> Option<Self::Event> {
-        TailRx::try_recv(self).ok()
-    }
+/// Tail `store` from `from`.
+pub(crate) async fn tail(
+    api: &dyn ExchangeApi,
+    store: StoreId,
+    from: u64,
+) -> Result<Source<TailEvent>> {
+    let stream = api.open(Request::LogTail { store, from }).await?;
+    Ok(Merge::new(vec![stream], tail_event))
 }
 
-/// Watches on several object stores merged into one stream; an event
-/// carries the index of the store it came from. The set ends as soon as
-/// any one watch ends, so its owner re-opens all of them from their
-/// resume points.
-pub(crate) struct WatchSet {
-    /// Synthetic events from a list bootstrap, delivered first.
-    bootstrap: VecDeque<(usize, WatchEvent)>,
-    streams: Vec<WatchRx>,
-    /// The stream polled first next time, so one busy store cannot starve
-    /// the others.
-    first: usize,
-}
-
-impl WatchSet {
-    /// Watch each `(store, from)` pair.
-    pub(crate) async fn open(
-        api: &dyn ExchangeApi,
-        sources: impl IntoIterator<Item = (StoreId, Revision)>,
-    ) -> Result<WatchSet> {
-        let mut set = WatchSet {
-            bootstrap: VecDeque::new(),
-            streams: Vec::new(),
-            first: 0,
-        };
-        for (store, from) in sources {
-            let rx = match api.watch(store.clone(), from).await {
-                Ok(rx) => rx,
-                // The store's bounded watch history no longer reaches back
-                // to `from` (long-lived or recovered store). Bootstrap from
-                // a full listing instead: synthesize one Updated event per
-                // live object — consumers are level-triggered (they read
-                // current state; no-op patches are suppressed), so
-                // re-seeing current state is safe — then watch from the
-                // listing's revision, which is gapless.
-                Err(Error::WatchTooOld { .. }) => {
-                    let (objects, revision) = api.list(store.clone()).await?;
-                    let index = set.streams.len();
-                    set.bootstrap.extend(objects.into_iter().map(|obj| {
-                        let event = WatchEvent {
-                            revision: obj.revision,
-                            kind: EventKind::Updated,
-                            key: obj.key,
-                            value: obj.value,
-                        };
-                        (index, event)
-                    }));
-                    api.watch(store, revision).await?
-                }
-                Err(e) => return Err(e),
-            };
-            set.streams.push(rx);
-        }
-        Ok(set)
+/// Watch each `(store, from)` pair. A `from` the store's bounded history
+/// no longer reaches back to (long-lived or recovered store) is re-listed
+/// instead — consumers are level-triggered (they read current state; no-op
+/// patches are suppressed), so re-seeing current state is safe — and
+/// watched from the listing's revision.
+pub(crate) async fn watches(
+    api: &dyn ExchangeApi,
+    sources: impl IntoIterator<Item = (StoreId, Revision)>,
+) -> Result<Source<WatchEvent>> {
+    let mut relisted = Vec::new();
+    let mut streams = Vec::new();
+    for (store, from) in sources {
+        let request = Request::Watch { store, from };
+        let (synthetic, stream) = establish(api, &request, &mut Position::at(from.0)).await?;
+        relisted.push(synthetic);
+        streams.push(stream);
     }
-}
-
-impl Source for WatchSet {
-    type Event = (usize, WatchEvent);
-
-    async fn recv(&mut self) -> Option<Self::Event> {
-        if let Some(event) = self.bootstrap.pop_front() {
-            return Some(event);
-        }
-        let n = self.streams.len();
-        let (index, event) = poll_fn(|cx| {
-            for index in (0..n).map(|k| (self.first + k) % n) {
-                if let Poll::Ready(event) = pin!(self.streams[index].recv()).poll(cx) {
-                    return Poll::Ready((index, event));
-                }
-            }
-            Poll::Pending
-        })
-        .await;
-        self.first = (index + 1) % n;
-        event.map(|event| (index, event))
+    let mut source = Merge::new(streams, watch_event);
+    for (index, synthetic) in relisted.into_iter().enumerate() {
+        source.queue(index, synthetic);
     }
-
-    fn try_recv(&mut self) -> Option<Self::Event> {
-        self.bootstrap.pop_front().or_else(|| {
-            let queued = |(index, rx): (usize, &mut WatchRx)| Some((index, rx.try_recv().ok()?));
-            self.streams.iter_mut().enumerate().find_map(queued)
-        })
-    }
+    Ok(source)
 }
 
 #[cfg(test)]
@@ -528,23 +464,26 @@ mod tests {
     use crate::reconciler::{FnReconciler, ReconcilerCtx};
     use crate::runtime::Runtime;
     use crate::sync::{SyncDest, SyncMode};
-    use knactor_logstore::{TailEvent, WindowSpec};
+    use knactor_logstore::WindowSpec;
     use knactor_net::loopback::in_process;
-    use knactor_net::proto::{ProfileSpec, QuerySpec, Request, Response};
-    use knactor_net::{BoxFuture, Exchange};
+    use knactor_net::proto::{EventBody, ProfileSpec, QuerySpec, Response};
+    use knactor_net::stream::Stream;
+    use knactor_net::{BoxFuture, Exchange, Subscription};
     use knactor_rbac::Subject;
+    use knactor_store::EventKind;
     use knactor_types::ObjectKey;
     use parking_lot::Mutex;
     use serde_json::json;
     use std::collections::BTreeMap;
     use std::sync::atomic::AtomicBool;
+    use std::task::{ready, Context, Poll};
     use std::time::Instant;
 
     /// Test-only exchange over a loopback one. Calls pass through; every
-    /// stream it opens is pumped through a task that records how far the
-    /// stream has been delivered (so a test can wait for "queued", a state,
-    /// instead of sleeping) and that can end the first stream early. It
-    /// can also refuse to open streams at all.
+    /// stream it opens goes through a [`Tap`] that records how far the
+    /// stream has been delivered (so a test can wait for "handed over", a
+    /// state, instead of sleeping) and that can end the first stream
+    /// early. It can also refuse to open streams at all.
     struct Tapped {
         inner: Arc<dyn ExchangeApi>,
         /// Per store: highest revision / sequence handed to a consumer.
@@ -555,43 +494,38 @@ mod tests {
         refusals: AtomicU64,
     }
 
-    /// Pump `$rx` into a fresh channel until `$limit` events went through,
-    /// recording each event's `$position` under `$store`.
-    macro_rules! pump {
-        ($self:ident, $store:ident, $rx:ident, |$event:ident| $position:expr) => {{
-            let (tx, out) = mpsc::unbounded_channel();
-            let limit = $self.cut_next_after.swap(u64::MAX, Ordering::SeqCst);
-            let delivered = Arc::clone(&$self.delivered);
-            tokio::spawn(async move {
-                for _ in 0..limit {
-                    let Some($event) = $rx.recv().await else {
-                        break;
-                    };
-                    let position = $position;
-                    if tx.send($event).is_err() {
-                        break;
-                    }
-                    if let Some(position) = position {
-                        delivered.lock().insert($store.clone(), position);
-                    }
-                }
-            });
-            out
-        }};
+    /// A stream that ends after `left` more events and records the
+    /// position of each one it hands over.
+    struct Tap {
+        inner: Subscription,
+        left: u64,
+        store: StoreId,
+        delivered: Arc<Mutex<BTreeMap<StoreId, u64>>>,
+    }
+
+    impl Stream for Tap {
+        fn poll_next(&mut self, cx: &mut Context<'_>) -> Poll<Option<EventBody>> {
+            if self.left == 0 {
+                return Poll::Ready(None);
+            }
+            let next = ready!(self.inner.poll_next(cx));
+            self.left -= 1;
+            let position = match &next {
+                Some(EventBody::Object { event }) => Some(event.revision.0),
+                Some(EventBody::Record { record }) => Some(record.seq),
+                _ => None,
+            };
+            if let Some(position) = position {
+                self.delivered.lock().insert(self.store.clone(), position);
+            }
+            Poll::Ready(next)
+        }
     }
 
     impl Tapped {
         fn delivered(&self, store: &str) -> u64 {
             let delivered = self.delivered.lock();
             delivered.get(&StoreId::new(store)).copied().unwrap_or(0)
-        }
-
-        fn refused(&self) -> Result<()> {
-            if self.refuse.load(Ordering::SeqCst) {
-                self.refusals.fetch_add(1, Ordering::SeqCst);
-                return Err(Error::Transport("stream refused".to_string()));
-            }
-            Ok(())
         }
     }
 
@@ -600,32 +534,23 @@ mod tests {
             self.inner.call(request)
         }
 
-        fn open_watch(&self, request: Request) -> BoxFuture<'_, Result<WatchRx>> {
+        fn open(&self, request: Request) -> BoxFuture<'_, Result<Subscription>> {
             Box::pin(async move {
-                self.refused()?;
-                let Request::Watch { store, .. } = &request else {
-                    return self.inner.open_watch(request).await;
+                if self.refuse.load(Ordering::SeqCst) {
+                    self.refusals.fetch_add(1, Ordering::SeqCst);
+                    return Err(Error::Transport("stream refused".to_string()));
+                }
+                let (Request::Watch { store, .. } | Request::LogTail { store, .. }) = &request
+                else {
+                    return self.inner.open(request).await;
                 };
                 let store = store.clone();
-                let mut rx = self.inner.open_watch(request).await?;
-                Ok(pump!(self, store, rx, |event| Some(event.revision.0)))
-            })
-        }
-
-        fn open_tail(&self, request: Request) -> BoxFuture<'_, Result<TailRx>> {
-            Box::pin(async move {
-                self.refused()?;
-                let Request::LogTail { store, .. } = &request else {
-                    return self.inner.open_tail(request).await;
-                };
-                let store = store.clone();
-                let mut rx = self.inner.open_tail(request).await?;
-                Ok(TailRx::from_channel(pump!(self, store, rx, |event| {
-                    match &event {
-                        TailEvent::Record(record) => Some(record.seq),
-                        TailEvent::Lagged { .. } => None,
-                    }
-                })))
+                Ok(Subscription::new(Tap {
+                    inner: self.inner.open(request).await?,
+                    left: self.cut_next_after.swap(u64::MAX, Ordering::SeqCst),
+                    store,
+                    delivered: Arc::clone(&self.delivered),
+                }))
             })
         }
     }
@@ -936,5 +861,55 @@ mod tests {
             }
             stopped_within_bound(kind, controller).await;
         }
+    }
+
+    /// The store's lag gate covers in-process consumers too — nothing
+    /// reads ahead on their behalf any more. A reconciler that stalls is
+    /// cut like any slow subscriber, and its loop resumes from its resume
+    /// point: every object is reconciled, none is skipped.
+    #[tokio::test]
+    async fn a_loopback_integrator_cut_by_the_lag_gate_resumes_without_a_gap() {
+        let (object, _, client) = in_process(Subject::operator("lagging"));
+        let profile = knactor_store::EngineProfile {
+            watch_lag_cap: 2,
+            ..knactor_store::EngineProfile::instant()
+        };
+        let store = object.create_store("src/state", profile).unwrap();
+        let api: Arc<dyn ExchangeApi> = Arc::new(client);
+        let (open, gate) = tokio::sync::watch::channel(false);
+        let mark_seen = move |ctx: ReconcilerCtx, event: WatchEvent| {
+            let mut gate = gate.clone();
+            async move {
+                while !*gate.borrow() {
+                    gate.changed().await.expect("the test holds the gate");
+                }
+                if event.kind != EventKind::Deleted && event.value["seen"].is_null() {
+                    ctx.patch(&event.key, json!({"seen": true})).await?;
+                }
+                Ok(())
+            }
+        };
+        let knactor = Knactor::builder("src")
+            .object_store("state")
+            .reconciler(FnReconciler::new(mark_seen))
+            .build();
+        let runtime = Runtime::new();
+        let deployed = runtime.deploy_pre_externalized(knactor, Arc::clone(&api));
+        deployed.await.unwrap();
+
+        // The reconciler sits on the first event; the watch backs up and
+        // the store cuts it.
+        let watching = || async { store.subscriber_count() == 1 };
+        eventually("the reconciler's watch", watching).await;
+        for i in 0..10 {
+            Kind::Reconciler.feed(&*api, i).await;
+        }
+        eventually("the stalled watch to be cut", || async {
+            store.subscriber_count() == 0
+        })
+        .await;
+        open.send(true).unwrap();
+        Kind::Reconciler.await_arrived(&*api, 10).await;
+        runtime.shutdown().await;
     }
 }

@@ -10,7 +10,7 @@
 //! supervised composer registers — they observe one flag and drain — and
 //! a closed command channel for the reconcile loops.
 
-use crate::integrator::{self, wrong_kind, Controller, Edge, IntegratorConfig, WatchSet};
+use crate::integrator::{self, wrong_kind, Controller, Edge, IntegratorConfig, Source};
 use crate::knactor::Knactor;
 use crate::reconciler::{Reconciler, ReconcilerCtx};
 use knactor_net::ExchangeApi;
@@ -164,15 +164,15 @@ struct ReconcileEdge {
 impl Edge for ReconcileEdge {
     const KIND: &'static str = "reconciler";
     const TAILS: bool = false;
-    type Source = WatchSet;
+    type Event = WatchEvent;
 
     /// A reconciler is code, not configuration: there is nothing to swap.
     async fn reconfigure(&mut self, config: IntegratorConfig) -> Result<()> {
         Err(wrong_kind(Self::KIND, &config))
     }
 
-    async fn open(&mut self) -> Result<WatchSet> {
-        WatchSet::open(&*self.ctx.api, [(self.ctx.store.clone(), self.resume)]).await
+    async fn open(&mut self) -> Result<Source<Self::Event>> {
+        integrator::watches(&*self.ctx.api, [(self.ctx.store.clone(), self.resume)]).await
     }
 
     async fn process(&mut self, events: Vec<(usize, WatchEvent)>) {

@@ -13,10 +13,12 @@
 //! Like Cast, a running Sync is reconfigurable through its controller
 //! without touching any knactor.
 
-use crate::integrator::{self, wrong_kind, Controller, Edge, Host, IntegratorConfig, Progress};
+use crate::integrator::{
+    self, wrong_kind, Controller, Edge, Host, IntegratorConfig, Progress, Source,
+};
 use knactor_logstore::{LogRecord, TailEvent};
 use knactor_net::proto::QuerySpec;
-use knactor_net::{ExchangeApi, TailRx};
+use knactor_net::ExchangeApi;
 use knactor_types::{Error, FieldPath, ObjectKey, Result, StoreId, Value};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -129,7 +131,7 @@ impl SyncEdge {
 impl Edge for SyncEdge {
     const KIND: &'static str = "sync";
     const TAILS: bool = true;
-    type Source = TailRx;
+    type Event = TailEvent;
 
     async fn reconfigure(&mut self, config: IntegratorConfig) -> Result<()> {
         let IntegratorConfig::Sync(config) = config else {
@@ -143,9 +145,9 @@ impl Edge for SyncEdge {
         Ok(())
     }
 
-    async fn open(&mut self) -> Result<TailRx> {
+    async fn open(&mut self) -> Result<Source<TailEvent>> {
         let source = self.config.source.clone();
-        self.host.api.log_tail(source, self.last_seq).await
+        integrator::tail(&*self.host.api, source, self.last_seq).await
     }
 
     /// Run tailed events through the configured pipeline: lag notices
@@ -155,9 +157,9 @@ impl Edge for SyncEdge {
     /// runs the pipeline per record but ships all produced rows in a
     /// single batched append; Snapshot mode collapses the batch into one
     /// re-query — every earlier refresh is subsumed by the last.
-    async fn process(&mut self, events: Vec<TailEvent>) {
+    async fn process(&mut self, events: Vec<(usize, TailEvent)>) {
         let mut fresh: Vec<LogRecord> = Vec::new();
-        for event in events {
+        for (_, event) in events {
             match event {
                 // Replayed by a resumed tail; already processed.
                 TailEvent::Record(record) if record.seq <= self.last_seq => {}

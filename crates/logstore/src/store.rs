@@ -23,7 +23,7 @@ use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::AtomicBool;
 use std::sync::{Arc, Weak};
-use tokio::sync::{mpsc, watch};
+use tokio::sync::watch;
 
 /// One ingested record: a sequence number and a structured payload.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -509,13 +509,13 @@ impl LogStore {
     /// the count and the next available seq, and
     /// `knactor_log_tail_lagged_total` counts the loss.
     pub fn tail(&self, from: u64) -> TailRx {
-        TailRx(TailRxInner::Store(StoreTail {
+        TailRx {
             watch: self.append_watch.subscribe(),
             store: self.strong(),
             cursor: from,
             started: false,
             buf: VecDeque::new(),
-        }))
+        }
     }
 }
 
@@ -534,18 +534,10 @@ pub enum TailEvent {
 
 /// Receiver side of a log tail.
 ///
-/// Store-backed tails (in-process) are *pull-based*: they hold a cursor
-/// and materialize bounded chunks on demand, so a slow consumer costs
-/// O(chunk) memory instead of an unbounded queue. Channel-backed tails
-/// adapt remote streams (the TCP client demux) to the same interface.
-pub struct TailRx(TailRxInner);
-
-enum TailRxInner {
-    Store(StoreTail),
-    Channel(mpsc::UnboundedReceiver<TailEvent>),
-}
-
-struct StoreTail {
+/// *Pull-based*: it holds a cursor into the store and materializes
+/// bounded chunks on demand, so a slow consumer costs O(chunk) memory
+/// instead of an unbounded queue.
+pub struct TailRx {
     store: Arc<LogStore>,
     /// Last seq already delivered (records `> cursor` are pending).
     cursor: u64,
@@ -556,7 +548,16 @@ struct StoreTail {
     watch: watch::Receiver<u64>,
 }
 
-impl StoreTail {
+impl std::fmt::Debug for TailRx {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("TailRx")
+            .field("store", self.store.id())
+            .field("cursor", &self.cursor)
+            .finish()
+    }
+}
+
+impl TailRx {
     fn pull(&mut self) {
         let chunk = self.store.config.tail_chunk.max(1);
         let (oldest, records) = self.store.tail_pull(self.cursor, chunk);
@@ -577,63 +578,26 @@ impl StoreTail {
             self.buf.push_back(TailEvent::Record(r));
         }
     }
-}
 
-impl std::fmt::Debug for TailRx {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match &self.0 {
-            TailRxInner::Store(t) => f
-                .debug_struct("TailRx")
-                .field("store", t.store.id())
-                .field("cursor", &t.cursor)
-                .finish(),
-            TailRxInner::Channel(_) => f.write_str("TailRx(channel)"),
-        }
-    }
-}
-
-impl TailRx {
-    /// Adapt a channel of tail events (remote streams) to the tail
-    /// interface.
-    pub fn from_channel(rx: mpsc::UnboundedReceiver<TailEvent>) -> TailRx {
-        TailRx(TailRxInner::Channel(rx))
-    }
-
-    /// Next event; `None` when the stream is closed (remote tails only —
-    /// a store-backed tail lives as long as its receiver).
+    /// Next event; `None` only once the store itself is gone and
+    /// everything it held has been delivered.
     pub async fn recv(&mut self) -> Option<TailEvent> {
-        match &mut self.0 {
-            TailRxInner::Channel(rx) => rx.recv().await,
-            TailRxInner::Store(t) => loop {
-                if let Some(ev) = t.buf.pop_front() {
-                    return Some(ev);
-                }
-                t.pull();
-                if !t.buf.is_empty() {
-                    continue;
-                }
-                if t.watch.changed().await.is_err() {
-                    t.pull();
-                    if t.buf.is_empty() {
-                        return None;
-                    }
-                }
-            },
+        loop {
+            if let Some(event) = self.try_recv() {
+                return Some(event);
+            }
+            if self.watch.changed().await.is_err() {
+                return self.try_recv();
+            }
         }
     }
 
     /// Non-blocking variant.
-    pub fn try_recv(&mut self) -> std::result::Result<TailEvent, mpsc::error::TryRecvError> {
-        match &mut self.0 {
-            TailRxInner::Channel(rx) => rx.try_recv(),
-            TailRxInner::Store(t) => {
-                if let Some(ev) = t.buf.pop_front() {
-                    return Ok(ev);
-                }
-                t.pull();
-                t.buf.pop_front().ok_or(mpsc::error::TryRecvError::Empty)
-            }
+    pub fn try_recv(&mut self) -> Option<TailEvent> {
+        if self.buf.is_empty() {
+            self.pull();
         }
+        self.buf.pop_front()
     }
 
     /// Next record, skipping lag notices — for callers that only need

@@ -1,32 +1,89 @@
 //! The transport-independent exchange API.
 //!
-//! [`Exchange`] is the narrow waist: one `call(Request) -> Response` plus
-//! the two stream openers. Every transport and every layer (retry, fault
-//! injection, shard routing, replica routing) implements exactly that, so
-//! layers stack in any order. [`ExchangeApi`] is the typed surface
-//! integrators and reconcilers are written against; it exists once, as
-//! provided methods over [`Exchange`], and is the only place a typed call
-//! becomes a [`Request`] and a [`Response`] becomes a typed result.
+//! [`Exchange`] is the narrow waist: one `call(Request) -> Response` for
+//! requests and one `open(Request) -> Subscription` for streams. Every
+//! transport and every layer (retry, fault injection, shard routing,
+//! replica routing) implements exactly that, so layers stack in any order.
+//! [`ExchangeApi`] is the typed surface integrators and reconcilers are
+//! written against; it exists once, as provided methods over [`Exchange`],
+//! and is the only place a typed call becomes a [`Request`], a
+//! [`Response`] becomes a typed result, and a [`Subscription`] becomes a
+//! typed event stream ([`WatchRx`], [`TailRx`]).
 
-use crate::proto::{ProfileSpec, QuerySpec, Request, Response};
-use knactor_logstore::LogRecord;
+use crate::proto::{EventBody, ProfileSpec, QuerySpec, Request, Response};
+use crate::stream::Subscription;
+use knactor_logstore::{LogRecord, TailEvent};
 use knactor_store::udf::UdfAssignment;
 use knactor_store::{BatchOp, ItemResult, PutItem, StoredObject, TxOp, UdfBinding, WatchEvent};
 use knactor_types::metrics::MetricsSnapshot;
 use knactor_types::{Error, ObjectKey, Result, Revision, Schema, SchemaName, StoreId, Value};
 use std::future::Future;
 use std::pin::Pin;
-use tokio::sync::mpsc;
 
 /// Boxed future alias so the traits stay object-safe.
 pub type BoxFuture<'a, T> = Pin<Box<dyn Future<Output = T> + Send + 'a>>;
 
-/// Stream of object watch events.
-pub type WatchRx = mpsc::UnboundedReceiver<WatchEvent>;
+/// The object events of a stream; anything else ends it.
+pub fn watch_event(body: EventBody) -> Option<WatchEvent> {
+    match body {
+        EventBody::Object { event } => Some(event),
+        _ => None,
+    }
+}
 
-/// Stream of tailed log events ([`knactor_logstore::TailEvent`]): records
-/// plus typed `Lagged` resume points when retention outran the tailer.
-pub type TailRx = knactor_logstore::TailRx;
+/// The log events of a stream — records plus typed `Lagged` resume points
+/// when retention outran the tailer; anything else ends it.
+pub fn tail_event(body: EventBody) -> Option<TailEvent> {
+    match body {
+        EventBody::Record { record } => Some(TailEvent::Record(record)),
+        EventBody::Lagged {
+            missed,
+            resume_from,
+        } => Some(TailEvent::Lagged {
+            missed,
+            resume_from,
+        }),
+        _ => None,
+    }
+}
+
+/// A [`Subscription`] read as typed events; a body `view` cannot type
+/// ends the stream.
+#[derive(Debug)]
+pub struct Typed<T> {
+    stream: Subscription,
+    view: fn(EventBody) -> Option<T>,
+}
+
+/// Stream of object watch events.
+pub type WatchRx = Typed<WatchEvent>;
+
+/// Stream of tailed log events.
+pub type TailRx = Typed<TailEvent>;
+
+impl<T> Typed<T> {
+    /// Next event; `None` once the stream has ended.
+    pub async fn recv(&mut self) -> Option<T> {
+        (self.view)(self.stream.recv().await?)
+    }
+
+    /// See [`Subscription::try_recv`].
+    pub fn try_recv(&mut self) -> Option<T> {
+        (self.view)(self.stream.try_recv()?)
+    }
+}
+
+impl TailRx {
+    /// Next record, skipping lag notices — for callers that only need
+    /// the data stream.
+    pub async fn recv_record(&mut self) -> Option<LogRecord> {
+        loop {
+            if let TailEvent::Record(record) = self.recv().await? {
+                return Some(record);
+            }
+        }
+    }
+}
 
 /// A data exchange (Object + Log) as seen through the wire vocabulary.
 pub trait Exchange: Send + Sync {
@@ -35,12 +92,20 @@ pub trait Exchange: Send + Sync {
     /// calls: sent here they fail with a typed [`Error::Internal`].
     fn call(&self, request: Request) -> BoxFuture<'_, Result<Response>>;
 
-    /// Open an object event stream; `request` is `Request::Watch` or
-    /// `Request::ReplSubscribe`.
-    fn open_watch(&self, request: Request) -> BoxFuture<'_, Result<WatchRx>>;
+    /// Open the stream `request` names: object events for a `Watch` or a
+    /// `ReplSubscribe`, log events for a `LogTail`.
+    fn open(&self, request: Request) -> BoxFuture<'_, Result<Subscription>>;
+}
 
-    /// Open a log tail; `request` is `Request::LogTail`.
-    fn open_tail(&self, request: Request) -> BoxFuture<'_, Result<TailRx>>;
+/// Open a stream and read it through `view`.
+fn typed<'a, T: 'a>(
+    open: BoxFuture<'a, Result<Subscription>>,
+    view: fn(EventBody) -> Option<T>,
+) -> BoxFuture<'a, Result<Typed<T>>> {
+    Box::pin(async move {
+        let stream = open.await?;
+        Ok(Typed { stream, view })
+    })
 }
 
 /// The error for a request handed to the wrong [`Exchange`] entry point.
@@ -259,7 +324,7 @@ pub trait ExchangeApi: Exchange {
 
     /// Watch events with revision greater than `from`.
     fn watch(&self, store: StoreId, from: Revision) -> BoxFuture<'_, Result<WatchRx>> {
-        self.open_watch(Request::Watch { store, from })
+        typed(self.open(Request::Watch { store, from }), watch_event)
     }
 
     fn register_schema(&self, schema: Schema) -> BoxFuture<'_, Result<()>> {
@@ -333,7 +398,7 @@ pub trait ExchangeApi: Exchange {
     }
 
     fn log_tail(&self, store: StoreId, from: u64) -> BoxFuture<'_, Result<TailRx>> {
-        self.open_tail(Request::LogTail { store, from })
+        typed(self.open(Request::LogTail { store, from }), tail_event)
     }
 
     // ---- observability -------------------------------------------------------
@@ -351,7 +416,10 @@ pub trait ExchangeApi: Exchange {
     /// Subscribe to a store's replication stream: every committed event
     /// with revision > `from`, in order, as a raw watch stream.
     fn repl_subscribe(&self, store: StoreId, from: Revision) -> BoxFuture<'_, Result<WatchRx>> {
-        self.open_watch(Request::ReplSubscribe { store, from })
+        typed(
+            self.open(Request::ReplSubscribe { store, from }),
+            watch_event,
+        )
     }
 
     /// Report a follower's durably-staged high-water mark to the leader.

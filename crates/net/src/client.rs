@@ -2,73 +2,126 @@
 //!
 //! One connection, pipelined: requests carry correlation ids, a background
 //! demultiplexer routes replies to per-request oneshot channels and pushed
-//! events to per-subscription streams. Optional injected latency models a
-//! cluster network RTT deterministically (loopback TCP alone measures in
-//! microseconds; pod-to-pod traffic does not).
+//! events to per-subscription streams.
 //!
 //! Two client layers live here:
 //!
 //! * [`TcpClient`] — one connection, fail-fast. A dead socket or a
-//!   timed-out request surfaces immediately as `Transport`/`Timeout`.
+//!   timed-out request surfaces immediately as `Transport`/`Timeout`, and
+//!   its streams end with the connection.
 //! * [`ResilientClient`] — wraps reconnection, capped exponential backoff
 //!   with jitter ([`RetryPolicy`]), idempotent retry recovery keyed by OCC
-//!   revisions, and watch/tail **resume**: a subscription survives the
-//!   connection it was created on, deduplicating replayed events and
-//!   detecting revision gaps (see [`ResilientClient`]).
+//!   revisions, and stream **resume**: a subscription survives the
+//!   connection it was created on (see [`crate::stream`]).
 
-use crate::api::{misrouted, BoxFuture, Exchange, ExchangeApi, TailRx, WatchRx};
+use crate::api::{misrouted, BoxFuture, Exchange, ExchangeApi};
 use crate::fault::FaultRng;
-use crate::frame::{FrameReader, FrameWriter};
+use crate::frame::{write_corked, FrameReader, FrameWriter};
 use crate::proto::{
-    decode, encode, encode_into, EventBody, Hello, Request, RequestEnvelope, Response, ServerMsg,
+    decode, encode, EventBody, Hello, Request, RequestEnvelope, Response, ServerMsg,
 };
-use knactor_logstore::TailEvent;
+use crate::stream::{self, Stream, Subscription};
 use knactor_rbac::{Subject, SubjectKind};
-use knactor_store::{BatchOp, EventKind, ItemResult, StoredObject, WatchEvent};
+use knactor_store::{BatchOp, ItemResult, StoredObject};
 use knactor_types::{Error, ObjectKey, Result, Revision, StoreId, Value};
 use parking_lot::Mutex;
-use std::collections::{BTreeSet, HashMap};
+use std::collections::HashMap;
 use std::future::Future;
 use std::net::SocketAddr;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::pin::pin;
 use std::sync::Arc;
+use std::task::{Context, Poll};
 use std::time::Duration;
 use tokio::net::TcpStream;
 use tokio::sync::{mpsc, oneshot};
 
-/// Byte ceiling for one corked writer drain: once this much is staged
-/// unflushed, the writer flushes before draining more of its queue.
-const CORK_MAX_BYTES: usize = 256 * 1024;
-
-/// Routing state shared with the demultiplexer task.
-#[derive(Default)]
+/// Routing state shared by the client, its demultiplexer task and its
+/// subscriptions.
 struct Router {
-    /// Set once the demultiplexer exits (connection gone); all later
-    /// requests fail fast instead of waiting on a reply that cannot come.
-    closed: bool,
+    /// The writer task's queue, for the `Unwatch` a subscription sends
+    /// when its consumer goes. `None` once the connection is gone (the
+    /// demultiplexer exited) or the client was dropped; every request from
+    /// then on fails fast instead of waiting on a reply that cannot come.
+    out: Option<mpsc::UnboundedSender<RequestEnvelope>>,
+    /// The last request id handed out.
+    next_id: u64,
     pending: HashMap<u64, oneshot::Sender<Response>>,
-    /// Request id → channel to install once the Watch reply names a sub id.
-    staged_watches: HashMap<u64, StagedSub>,
-    object_subs: HashMap<u64, mpsc::UnboundedSender<WatchEvent>>,
-    record_subs: HashMap<u64, mpsc::UnboundedSender<TailEvent>>,
+    /// Request id → event channel to install once the reply names a sub id.
+    staged: HashMap<u64, mpsc::UnboundedSender<EventBody>>,
+    subs: HashMap<u64, mpsc::UnboundedSender<EventBody>>,
 }
 
-enum StagedSub {
-    Object(mpsc::UnboundedSender<WatchEvent>),
-    Record(mpsc::UnboundedSender<TailEvent>),
+impl Router {
+    fn next_id(&mut self) -> u64 {
+        self.next_id += 1;
+        self.next_id
+    }
+
+    /// Tell the server to stop pumping a stream nobody reads. Fire and
+    /// forget: the reply matches no pending request and is dropped.
+    fn send_unwatch(&mut self, sub_id: u64) {
+        let id = self.next_id();
+        let body = Request::Unwatch { sub_id };
+        if let Some(out) = &self.out {
+            let _ = out.send(RequestEnvelope { id, body });
+        }
+    }
+
+    /// The consumer of `sub_id` is gone; a stream that had already ended
+    /// by itself is no longer registered and needs no `Unwatch`.
+    fn unwatch(&mut self, sub_id: u64) {
+        if self.subs.remove(&sub_id).is_some() {
+            self.send_unwatch(sub_id);
+        }
+    }
+
+    /// Route one pushed event body to its subscription. Shared by
+    /// single-event and batched frames so both deliver identically.
+    fn deliver(&mut self, sub_id: u64, body: EventBody) {
+        let Some(tx) = self.subs.get(&sub_id) else {
+            return;
+        };
+        match body {
+            // The stream's last words. `WatchLagged`: the store cut this
+            // watch for exceeding its lag cap; an unconsumed backlog is
+            // exactly what got it cut, so there is nothing useful to flush
+            // and the stream simply ends. A resumed stream re-opens from
+            // its own position, which is never past `resume_from`.
+            EventBody::WatchLagged { .. } => {
+                knactor_types::metrics::global()
+                    .counter("knactor_client_watch_lagged_total", &[("role", "client")])
+                    .inc();
+                self.subs.remove(&sub_id);
+            }
+            EventBody::Closed => {
+                self.subs.remove(&sub_id);
+            }
+            body => {
+                if tx.send(body).is_err() {
+                    self.unwatch(sub_id);
+                }
+            }
+        }
+    }
 }
 
 /// Async exchange client over TCP.
 pub struct TcpClient {
     out_tx: mpsc::UnboundedSender<RequestEnvelope>,
     router: Arc<Mutex<Router>>,
-    next_id: AtomicU64,
-    latency: Option<Duration>,
     /// Per-request reply deadline; `None` waits forever (the default, so
     /// existing single-connection users keep fail-on-disconnect behaviour
     /// without spurious timeouts).
     timeout: Option<Duration>,
     subject: Subject,
+}
+
+/// Dropping the client closes its side of the connection — the writer
+/// task ends with its queue — and with it every stream opened on it.
+impl Drop for TcpClient {
+    fn drop(&mut self) {
+        self.router.lock().out = None;
+    }
 }
 
 impl TcpClient {
@@ -97,48 +150,15 @@ impl TcpClient {
         };
         writer.write_frame(&encode(&hello)?).await?;
 
-        let router = Arc::new(Mutex::new(Router::default()));
-
-        // Writer task: serializes request envelopes onto the socket.
-        // Corked: after the first envelope, drain whatever else is already
-        // queued (pipelined callers, batch fan-out) into the frame buffer
-        // and flush once — N requests, one write.
-        let (out_tx, mut out_rx) = mpsc::unbounded_channel::<RequestEnvelope>();
-        tokio::spawn(async move {
-            let frames_per_flush = knactor_types::metrics::global().histogram(
-                "knactor_net_batch_size",
-                &[("role", "client"), ("unit", "frames")],
-            );
-            let mut scratch = String::new();
-            'conn: while let Some(mut envelope) = out_rx.recv().await {
-                let mut frames = 0u64;
-                loop {
-                    if encode_into(&envelope, &mut scratch).is_err() {
-                        break 'conn;
-                    }
-                    if writer.write_frame_buffered(scratch.as_bytes()).is_err() {
-                        break 'conn;
-                    }
-                    frames += 1;
-                    // Byte-bounded cork (mirrors the server writer): a
-                    // caller pipelining as fast as this loop drains would
-                    // otherwise keep the drain spinning forever, growing
-                    // the staged buffer without bound and never letting
-                    // the flush park on a congested socket.
-                    if writer.buffered_len() >= CORK_MAX_BYTES {
-                        break;
-                    }
-                    match out_rx.try_recv() {
-                        Ok(next) => envelope = next,
-                        Err(_) => break,
-                    }
-                }
-                frames_per_flush.observe_ns(frames);
-                if writer.flush().await.is_err() {
-                    break;
-                }
-            }
-        });
+        let (out_tx, out_rx) = mpsc::unbounded_channel::<RequestEnvelope>();
+        tokio::spawn(write_corked(out_rx, writer, "client"));
+        let router = Arc::new(Mutex::new(Router {
+            out: Some(out_tx.clone()),
+            next_id: 0,
+            pending: HashMap::new(),
+            staged: HashMap::new(),
+            subs: HashMap::new(),
+        }));
 
         // Demultiplexer task.
         let demux_router = Arc::clone(&router);
@@ -156,35 +176,30 @@ impl TcpClient {
                 let mut router = demux_router.lock();
                 match msg {
                     ServerMsg::Reply { id, response } => {
-                        // A watch/tail reply installs its event channel
+                        // A stream reply installs its event channel
                         // *before* the reply is released, so no event can
                         // race past an unregistered subscription.
+                        let staged = router.staged.remove(&id);
                         if let Response::Watch { sub_id } = &response {
-                            if let Some(staged) = router.staged_watches.remove(&id) {
-                                match staged {
-                                    StagedSub::Object(tx) => {
-                                        router.object_subs.insert(*sub_id, tx);
-                                    }
-                                    StagedSub::Record(tx) => {
-                                        router.record_subs.insert(*sub_id, tx);
-                                    }
+                            match staged {
+                                Some(tx) if !tx.is_closed() => {
+                                    router.subs.insert(*sub_id, tx);
                                 }
+                                // The open was abandoned (timed out, or its
+                                // future dropped): nobody will read this.
+                                _ => router.send_unwatch(*sub_id),
                             }
-                        } else {
-                            router.staged_watches.remove(&id);
                         }
                         if let Some(tx) = router.pending.remove(&id) {
                             let _ = tx.send(response);
                         }
                     }
-                    ServerMsg::Event { sub_id, body } => {
-                        deliver_event(&mut router, sub_id, body);
-                    }
+                    ServerMsg::Event { sub_id, body } => router.deliver(sub_id, body),
+                    // A batched frame is exactly N events in delivery
+                    // order; unpack it through the same path.
                     ServerMsg::EventBatch { sub_id, bodies } => {
-                        // A batched frame is exactly N events in delivery
-                        // order; unpack it through the same path.
                         for body in bodies {
-                            deliver_event(&mut router, sub_id, body);
+                            router.deliver(sub_id, body);
                         }
                     }
                 }
@@ -192,34 +207,25 @@ impl TcpClient {
             // Connection gone: answer every pending request with an
             // explicit transport error (naming the peer and the fact that
             // the reply is outstanding — the caller may have executed),
-            // close all subscriptions, and refuse future requests.
+            // end all subscriptions, and refuse future requests.
             let mut router = demux_router.lock();
-            router.closed = true;
+            router.out = None;
             let lost = Error::Transport(format!(
                 "connection to {peer} lost with the reply outstanding"
             ));
             for (_, tx) in router.pending.drain() {
                 let _ = tx.send(Response::from_error(&lost));
             }
-            router.object_subs.clear();
-            router.record_subs.clear();
+            router.staged.clear();
+            router.subs.clear();
         });
 
         Ok(TcpClient {
             out_tx,
             router,
-            next_id: AtomicU64::new(1),
-            latency: None,
             timeout: None,
             subject,
         })
-    }
-
-    /// Inject a fixed round-trip latency applied to every request (models
-    /// cluster RTT; benchmarks use it to make transport cost explicit).
-    pub fn with_latency(mut self, rtt: Duration) -> TcpClient {
-        self.latency = Some(rtt);
-        self
     }
 
     /// Bound how long a request waits for its reply. A lost request or
@@ -233,32 +239,38 @@ impl TcpClient {
     /// True once the connection is gone (demultiplexer exited); every
     /// request from then on fails fast.
     pub fn is_closed(&self) -> bool {
-        self.router.lock().closed
+        self.router.lock().out.is_none()
     }
 
     pub fn subject(&self) -> &Subject {
         &self.subject
     }
 
-    async fn request_staged(&self, body: Request, staged: Option<StagedSub>) -> Result<Response> {
-        if let Some(rtt) = self.latency {
-            knactor_store::profile::precise_sleep(rtt).await;
-        }
-        let id = self.next_id.fetch_add(1, Ordering::Relaxed);
+    /// Send `body` and await its reply. `staged`, for a stream request, is
+    /// the event channel the demultiplexer installs when the reply names
+    /// the subscription.
+    async fn request(
+        &self,
+        body: Request,
+        staged: Option<mpsc::UnboundedSender<EventBody>>,
+    ) -> Result<Response> {
         let (tx, rx) = oneshot::channel();
-        {
+        let closed = || Error::Transport("connection closed".to_string());
+        let id = {
             let mut router = self.router.lock();
-            if router.closed {
-                return Err(Error::Transport("connection closed".to_string()));
+            if router.out.is_none() {
+                return Err(closed());
             }
+            let id = router.next_id();
             router.pending.insert(id, tx);
             if let Some(staged) = staged {
-                router.staged_watches.insert(id, staged);
+                router.staged.insert(id, staged);
             }
-        }
+            id
+        };
         self.out_tx
             .send(RequestEnvelope { id, body })
-            .map_err(|_| Error::Transport("connection closed".to_string()))?;
+            .map_err(|_| closed())?;
         let response = match self.timeout {
             None => rx
                 .await
@@ -273,10 +285,10 @@ impl TcpClient {
                 Err(_) => {
                     // Deregister so a reply arriving after the deadline is
                     // dropped instead of resolving a request nobody waits
-                    // on (and so a late Watch reply can't leak a sub).
+                    // on (a late stream reply is answered with `Unwatch`).
                     let mut router = self.router.lock();
                     router.pending.remove(&id);
-                    router.staged_watches.remove(&id);
+                    router.staged.remove(&id);
                     return Err(Error::Timeout(format!(
                         "no reply within {limit:?} (request {id})"
                     )));
@@ -285,70 +297,25 @@ impl TcpClient {
         };
         response.into_result()
     }
+}
 
-    /// Open a subscription: `staged` is installed by the demultiplexer when
-    /// the `Watch { sub_id }` reply arrives.
-    async fn subscribe(&self, request: Request, staged: StagedSub) -> Result<()> {
-        match self.request_staged(request, Some(staged)).await? {
-            Response::Watch { .. } => Ok(()),
-            other => Err(Error::Transport(format!("unexpected response {other:?}"))),
-        }
+/// The client side of one server-pushed stream. Dropping it tells the
+/// server to stop pumping.
+struct Remote {
+    rx: mpsc::UnboundedReceiver<EventBody>,
+    sub_id: u64,
+    router: Arc<Mutex<Router>>,
+}
+
+impl Stream for Remote {
+    fn poll_next(&mut self, cx: &mut Context<'_>) -> Poll<Option<EventBody>> {
+        pin!(self.rx.recv()).poll(cx)
     }
 }
 
-/// Route one pushed event body to its subscription channel, dropping the
-/// subscription on a gone consumer. Shared by single-event and batched
-/// frames so both deliver identically.
-fn deliver_event(router: &mut Router, sub_id: u64, body: EventBody) {
-    match body {
-        EventBody::Object { event } => {
-            if let Some(tx) = router.object_subs.get(&sub_id) {
-                if tx.send(event).is_err() {
-                    router.object_subs.remove(&sub_id);
-                }
-            }
-        }
-        EventBody::Record { record } => {
-            if let Some(tx) = router.record_subs.get(&sub_id) {
-                if tx.send(TailEvent::Record(record)).is_err() {
-                    router.record_subs.remove(&sub_id);
-                }
-            }
-        }
-        EventBody::Lagged {
-            missed,
-            resume_from,
-        } => {
-            if let Some(tx) = router.record_subs.get(&sub_id) {
-                if tx
-                    .send(TailEvent::Lagged {
-                        missed,
-                        resume_from,
-                    })
-                    .is_err()
-                {
-                    router.record_subs.remove(&sub_id);
-                }
-            }
-        }
-        EventBody::WatchLagged { resume_from } => {
-            // The store cut this watch for exceeding its lag cap. The raw
-            // stream simply ends (an unconsumed backlog is exactly what got
-            // the subscription cut, so there is nothing useful to flush);
-            // `resume_from` names the gapless restart point. The resilient
-            // driver resubscribes from its own `last_seen` cursor, which is
-            // never past `resume_from` — every event it has not delivered
-            // gets replayed from history.
-            knactor_types::metrics::global()
-                .counter("knactor_client_watch_lagged_total", &[("role", "client")])
-                .inc();
-            let _ = resume_from;
-            router.object_subs.remove(&sub_id);
-        }
-        EventBody::Closed => {
-            router.object_subs.remove(&sub_id);
-            router.record_subs.remove(&sub_id);
-        }
+impl Drop for Remote {
+    fn drop(&mut self) {
+        self.router.lock().unwatch(self.sub_id);
     }
 }
 
@@ -359,31 +326,23 @@ impl Exchange for TcpClient {
         if request.is_stream() {
             return Box::pin(async move { Err(misrouted(&request, "call")) });
         }
-        Box::pin(self.request_staged(request, None))
+        Box::pin(self.request(request, None))
     }
 
-    fn open_watch(&self, request: Request) -> BoxFuture<'_, Result<WatchRx>> {
+    fn open(&self, request: Request) -> BoxFuture<'_, Result<Subscription>> {
         Box::pin(async move {
-            if !matches!(
-                request,
-                Request::Watch { .. } | Request::ReplSubscribe { .. }
-            ) {
-                return Err(misrouted(&request, "open_watch"));
+            if !request.is_stream() {
+                return Err(misrouted(&request, "open"));
             }
             let (tx, rx) = mpsc::unbounded_channel();
-            self.subscribe(request, StagedSub::Object(tx)).await?;
-            Ok(rx)
-        })
-    }
-
-    fn open_tail(&self, request: Request) -> BoxFuture<'_, Result<TailRx>> {
-        Box::pin(async move {
-            if !matches!(request, Request::LogTail { .. }) {
-                return Err(misrouted(&request, "open_tail"));
+            match self.request(request, Some(tx)).await? {
+                Response::Watch { sub_id } => Ok(Subscription::new(Remote {
+                    rx,
+                    sub_id,
+                    router: Arc::clone(&self.router),
+                })),
+                other => Err(Error::Transport(format!("unexpected response {other:?}"))),
             }
-            let (tx, rx) = mpsc::unbounded_channel();
-            self.subscribe(request, StagedSub::Record(tx)).await?;
-            Ok(TailRx::from_channel(rx))
         })
     }
 }
@@ -447,7 +406,7 @@ struct ConnSlot {
     client: Option<Arc<TcpClient>>,
 }
 
-/// Everything [`ResilientClient`] shares with its watch/tail driver tasks.
+/// Everything [`ResilientClient`] shares with the streams it resumes.
 struct Resilient {
     addr: SocketAddr,
     subject: Subject,
@@ -536,41 +495,14 @@ impl Resilient {
     }
 }
 
-/// Client-side resume state for one watch subscription.
-struct WatchState {
-    /// Highest revision delivered downstream; resubscriptions ask the
-    /// server for everything after it.
-    last_seen: Revision,
-    /// Keys currently believed alive, so a post-horizon re-list can
-    /// synthesize `Deleted` events for objects that vanished while the
-    /// watch was down.
-    known: BTreeSet<ObjectKey>,
-}
-
 /// A self-healing exchange client: one logical connection that survives
 /// resets, with per-operation retry and resumable subscriptions.
 ///
-/// # Watch-resume protocol
-///
-/// The server guarantees consecutive revisions — every commit bumps the
-/// store revision by exactly one — which makes client-side integrity
-/// checking possible:
-///
-/// * **duplicate** (revision ≤ last seen): dropped. Covers both replay
-///   after resubscription and duplicated frames in transit.
-/// * **gap** (revision > last seen + 1): an event frame was lost on the
-///   live connection. The gapped event is *not* delivered; the client
-///   resubscribes from the last seen revision and the server replays the
-///   missing range from history.
-/// * **stream end**: connection died; resubscribe from the last seen
-///   revision with backoff.
-/// * **`WatchTooOld`**: the resume point fell out of the server's bounded
-///   history. Fall back to a full re-list: changed objects are delivered
-///   as synthetic `Updated` events (in revision order), vanished keys as
-///   synthetic `Deleted` events at the listing revision, and the watch
-///   restarts from the listing revision.
-///
-/// Gap detection assumes the subscription sees *every* commit (no
+/// Streams it opens resume ([`crate::stream`]): events pass the
+/// dense-sequence rule, and on a gap, a dead connection or a lag cut the
+/// stream is re-opened — with this client's retry and reconnect — from the
+/// position reached, re-listing when that has fallen out of the server's
+/// history. Gap detection assumes the subscription sees *every* commit (no
 /// server-side event filtering for this subject); that holds for all
 /// current callers.
 pub struct ResilientClient {
@@ -608,199 +540,6 @@ impl ResilientClient {
     pub fn addr(&self) -> SocketAddr {
         self.inner.addr
     }
-}
-
-impl Resilient {
-    /// Establish (or re-establish) a server-side subscription for `state`,
-    /// falling back to re-list when the resume point is beyond the
-    /// server's history horizon. Synthetic re-list events go straight to
-    /// `tx`.
-    async fn establish_watch(
-        &self,
-        store: &StoreId,
-        state: &mut WatchState,
-        tx: &mpsc::UnboundedSender<WatchEvent>,
-    ) -> Result<WatchRx> {
-        loop {
-            let from = state.last_seen;
-            match self
-                .retry(|c, _| async move { c.watch(store.clone(), from).await })
-                .await
-            {
-                Ok(sub) => return Ok(sub),
-                Err(Error::WatchTooOld { .. }) => {
-                    let (objects, revision) = self
-                        .retry(|c, _| async move { c.list(store.clone()).await })
-                        .await?;
-                    emit_relist(state, objects, revision, tx)?;
-                    // Loop: subscribe from the listing revision (which may
-                    // itself be too old by now on a busy store — then we
-                    // simply re-list again).
-                }
-                Err(e) => return Err(e),
-            }
-        }
-    }
-
-    /// Pump events from server subscriptions into `tx` until the consumer
-    /// goes away, resubscribing across connection loss, deduplicating
-    /// replays, and closing the gap-detection loop described on
-    /// [`ResilientClient`].
-    async fn drive_watch(
-        self: Arc<Self>,
-        store: StoreId,
-        mut state: WatchState,
-        mut sub: WatchRx,
-        tx: mpsc::UnboundedSender<WatchEvent>,
-    ) {
-        loop {
-            while let Some(event) = sub.recv().await {
-                if event.revision <= state.last_seen {
-                    continue; // duplicate (replay or duplicated frame)
-                }
-                if event.revision.0 > state.last_seen.0 + 1 {
-                    break; // gap: resubscribe, do not deliver out of order
-                }
-                state.last_seen = event.revision;
-                match event.kind {
-                    EventKind::Created | EventKind::Updated => {
-                        state.known.insert(event.key.clone());
-                    }
-                    EventKind::Deleted => {
-                        state.known.remove(&event.key);
-                    }
-                }
-                if tx.send(event).is_err() {
-                    return; // consumer dropped the stream
-                }
-            }
-            if tx.is_closed() {
-                return;
-            }
-            // Gap or dead connection either way: resume from last_seen.
-            match self.establish_watch(&store, &mut state, &tx).await {
-                Ok(fresh) => sub = fresh,
-                Err(_) => return, // non-retryable (e.g. Forbidden): end the stream
-            }
-        }
-    }
-
-    async fn tail_from(&self, store: &StoreId, from: u64) -> Result<TailRx> {
-        self.retry(|c, _| async move { c.log_tail(store.clone(), from).await })
-            .await
-    }
-
-    /// Pump log records, resuming from the last delivered sequence number
-    /// (`log_tail(from)` is exclusive). Log sequences are dense (start at
-    /// 1, +1 per record), so mid-stream dedup/gap detection mirrors the
-    /// watch driver — with one wrinkle: a log whose retention window has
-    /// moved past the resume point silently replays from its oldest
-    /// retained record, so a forward jump at the *start* of a (re)played
-    /// subscription is the retention horizon, not a lost frame, and is
-    /// accepted.
-    async fn drive_tail(
-        self: Arc<Self>,
-        store: StoreId,
-        mut last_seen: u64,
-        mut sub: TailRx,
-        tx: mpsc::UnboundedSender<TailEvent>,
-    ) {
-        // True until the current subscription has yielded a record.
-        let mut fresh = true;
-        loop {
-            while let Some(event) = sub.recv().await {
-                let record = match event {
-                    TailEvent::Record(record) => record,
-                    TailEvent::Lagged {
-                        missed,
-                        resume_from,
-                    } => {
-                        // The store truncated records this tail never
-                        // pulled. Forward the typed resume point and jump
-                        // the cursor so the post-lag records are not
-                        // mistaken for a lost-frame gap.
-                        if resume_from > last_seen + 1 {
-                            if tx
-                                .send(TailEvent::Lagged {
-                                    missed,
-                                    resume_from,
-                                })
-                                .is_err()
-                            {
-                                return;
-                            }
-                            last_seen = resume_from - 1;
-                        }
-                        fresh = false;
-                        continue;
-                    }
-                };
-                if record.seq <= last_seen {
-                    fresh = false;
-                    continue; // duplicate (replay or duplicated frame)
-                }
-                if record.seq > last_seen + 1 && !fresh {
-                    break; // mid-stream gap: a record frame was lost
-                }
-                fresh = false;
-                last_seen = record.seq;
-                if tx.send(TailEvent::Record(record)).is_err() {
-                    return;
-                }
-            }
-            if tx.is_closed() {
-                return;
-            }
-            match self.tail_from(&store, last_seen).await {
-                Ok(renewed) => {
-                    sub = renewed;
-                    fresh = true;
-                }
-                Err(_) => return,
-            }
-        }
-    }
-}
-
-/// Turn a fresh listing into the synthetic events a resumed-too-late
-/// watcher needs: `Updated` for everything that changed past `last_seen`
-/// (in revision order), then `Deleted` (at the listing revision) for keys
-/// that vanished while the watch was down.
-fn emit_relist(
-    state: &mut WatchState,
-    objects: Vec<StoredObject>,
-    revision: Revision,
-    tx: &mpsc::UnboundedSender<WatchEvent>,
-) -> Result<()> {
-    let listed: BTreeSet<ObjectKey> = objects.iter().map(|o| o.key.clone()).collect();
-    let mut changed: Vec<&StoredObject> = objects
-        .iter()
-        .filter(|o| o.revision > state.last_seen)
-        .collect();
-    changed.sort_by_key(|o| o.revision);
-    for obj in changed {
-        let event = WatchEvent {
-            revision: obj.revision,
-            kind: EventKind::Updated,
-            key: obj.key.clone(),
-            value: Arc::clone(&obj.value),
-        };
-        tx.send(event)
-            .map_err(|_| Error::Transport("watch consumer gone".to_string()))?;
-    }
-    for key in state.known.difference(&listed) {
-        let event = WatchEvent {
-            revision,
-            kind: EventKind::Deleted,
-            key: key.clone(),
-            value: Arc::new(Value::Null),
-        };
-        tx.send(event)
-            .map_err(|_| Error::Transport("watch consumer gone".to_string()))?;
-    }
-    state.known = listed;
-    state.last_seen = state.last_seen.max(revision);
-    Ok(())
 }
 
 /// The lost-ack contract (DESIGN.md §4.2), applied to one attempt's
@@ -929,59 +668,39 @@ async fn recover_item(
     }
 }
 
-impl Exchange for ResilientClient {
+/// "Retry on the current connection", as an exchange: what a call does,
+/// and how a resumed stream is (re)opened from a position.
+impl Exchange for Resilient {
     /// Retry with reconnect and backoff, recovering lost acks per
     /// `recover_lost_ack` (DESIGN.md §4.2).
     fn call(&self, request: Request) -> BoxFuture<'_, Result<Response>> {
         Box::pin(async move {
-            // Never retried: a subscription id names a stream on one
-            // connection and means nothing on its successor.
-            if matches!(request, Request::Unwatch { .. }) {
-                return self.inner.current().await?.call(request).await;
-            }
             let request = &request;
-            self.inner
-                .retry(|c, attempt| async move {
-                    let outcome = c.call(request.clone()).await;
-                    recover_lost_ack(&*c, request, outcome, attempt).await
-                })
+            self.retry(|c, attempt| async move {
+                let outcome = c.call(request.clone()).await;
+                recover_lost_ack(&*c, request, outcome, attempt).await
+            })
+            .await
+        })
+    }
+
+    /// A raw stream on the current connection; it ends with it.
+    fn open(&self, request: Request) -> BoxFuture<'_, Result<Subscription>> {
+        Box::pin(async move {
+            let request = &request;
+            self.retry(|c, _| async move { c.open(request.clone()).await })
                 .await
         })
     }
+}
 
-    fn open_watch(&self, request: Request) -> BoxFuture<'_, Result<WatchRx>> {
-        Box::pin(async move {
-            // Replication feeds resume from the follower's own applied
-            // revision, not from a client cursor: they ride raw connections.
-            let Request::Watch { store, from } = request else {
-                return Err(misrouted(&request, "ResilientClient::open_watch"));
-            };
-            let (tx, rx) = mpsc::unbounded_channel();
-            let mut state = WatchState {
-                last_seen: from,
-                known: BTreeSet::new(),
-            };
-            // Establish inline so hard errors (Forbidden, unknown store)
-            // surface to the caller instead of silently closing the
-            // stream later.
-            let sub = self.inner.establish_watch(&store, &mut state, &tx).await?;
-            let driver = Arc::clone(&self.inner);
-            tokio::spawn(driver.drive_watch(store, state, sub, tx));
-            Ok(rx)
-        })
+impl Exchange for ResilientClient {
+    fn call(&self, request: Request) -> BoxFuture<'_, Result<Response>> {
+        self.inner.call(request)
     }
 
-    fn open_tail(&self, request: Request) -> BoxFuture<'_, Result<TailRx>> {
-        Box::pin(async move {
-            let Request::LogTail { store, from } = request else {
-                return Err(misrouted(&request, "open_tail"));
-            };
-            let (tx, rx) = mpsc::unbounded_channel();
-            let first = self.inner.tail_from(&store, from).await?;
-            let driver = Arc::clone(&self.inner);
-            tokio::spawn(driver.drive_tail(store, from, first, tx));
-            Ok(TailRx::from_channel(rx))
-        })
+    fn open(&self, request: Request) -> BoxFuture<'_, Result<Subscription>> {
+        Box::pin(stream::resume(Arc::clone(&self.inner) as _, request))
     }
 }
 
@@ -999,10 +718,7 @@ mod tests {
             let reply = self.0.clone().map(|object| Response::Object { object });
             Box::pin(async move { reply })
         }
-        fn open_watch(&self, _: Request) -> BoxFuture<'_, Result<WatchRx>> {
-            unreachable!("recovery opens no streams")
-        }
-        fn open_tail(&self, _: Request) -> BoxFuture<'_, Result<TailRx>> {
+        fn open(&self, _: Request) -> BoxFuture<'_, Result<Subscription>> {
             unreachable!("recovery opens no streams")
         }
     }

@@ -20,9 +20,10 @@
 //!   there is no reconnect machinery to resume them, so faulting them
 //!   would only test the absence of a feature.
 
-use crate::api::{BoxFuture, Exchange, TailRx, WatchRx};
+use crate::api::{BoxFuture, Exchange};
 use crate::frame::{FrameReader, FrameWriter};
 use crate::proto::{Request, Response};
+use crate::stream::Subscription;
 use knactor_types::{Error, Result};
 use parking_lot::Mutex;
 use std::net::SocketAddr;
@@ -464,13 +465,9 @@ impl Exchange for FaultApi {
         })
     }
 
-    // Watch/tail streams pass through unfaulted — see module docs.
-    fn open_watch(&self, request: Request) -> BoxFuture<'_, Result<WatchRx>> {
-        self.inner.open_watch(request)
-    }
-
-    fn open_tail(&self, request: Request) -> BoxFuture<'_, Result<TailRx>> {
-        self.inner.open_tail(request)
+    // Streams pass through unfaulted — see module docs.
+    fn open(&self, request: Request) -> BoxFuture<'_, Result<Subscription>> {
+        self.inner.open(request)
     }
 }
 

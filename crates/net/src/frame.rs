@@ -4,9 +4,13 @@
 //! maximum frame size is enforced on both read and write so a corrupt
 //! or malicious length prefix cannot make the peer allocate unboundedly.
 
+use crate::proto::encode_into;
 use bytes::{Buf, BytesMut};
 use knactor_types::{Error, Result};
+use serde::Serialize;
+use std::future::Future;
 use tokio::io::{AsyncRead, AsyncReadExt, AsyncWrite, AsyncWriteExt};
+use tokio::sync::mpsc;
 
 /// Frames above this size are protocol errors (16 MiB).
 pub const MAX_FRAME: usize = 16 * 1024 * 1024;
@@ -127,6 +131,84 @@ impl<W: AsyncWrite + Unpin> FrameWriter<W> {
         }
         self.inner.flush().await?;
         Ok(())
+    }
+}
+
+/// Byte ceiling for one corked drain: once this much is staged unflushed,
+/// the writer flushes before draining more of its queue.
+const CORK_MAX_BYTES: usize = 256 * 1024;
+
+/// The queue a connection's writer task drains. The client's is
+/// unbounded; the server's is bounded, and that bound is the connection's
+/// backpressure (DESIGN.md §8.1).
+pub(crate) trait Outbox<T>: Send {
+    fn recv(&mut self) -> impl Future<Output = Option<T>> + Send;
+    fn try_recv(&mut self) -> Option<T>;
+}
+
+impl<T: Send> Outbox<T> for mpsc::UnboundedReceiver<T> {
+    fn recv(&mut self) -> impl Future<Output = Option<T>> + Send {
+        mpsc::UnboundedReceiver::recv(self)
+    }
+
+    fn try_recv(&mut self) -> Option<T> {
+        mpsc::UnboundedReceiver::try_recv(self).ok()
+    }
+}
+
+impl<T: Send> Outbox<T> for mpsc::Receiver<T> {
+    fn recv(&mut self) -> impl Future<Output = Option<T>> + Send {
+        mpsc::Receiver::recv(self)
+    }
+
+    fn try_recv(&mut self) -> Option<T> {
+        mpsc::Receiver::try_recv(self).ok()
+    }
+}
+
+/// A connection's writer task: everything one side sends goes through
+/// here, until the queue closes or the socket fails. The loop is *corked*:
+/// after the blocking recv it drains whatever else is already queued
+/// (pipelined callers, batch fan-out, a burst of pushed events) into the
+/// frame buffer and flushes once — N messages, one socket write.
+///
+/// The cork is byte-bounded: without the cap, a producer that refills the
+/// queue as fast as this loop drains it would keep the drain going
+/// forever, growing the staged buffer without bound and never reaching
+/// the flush — which is where a slow peer's TCP backpressure actually
+/// parks this task. The cap keeps the batching win while guaranteeing
+/// every staged byte meets the socket.
+pub(crate) async fn write_corked<T: Serialize + Send, W: AsyncWrite + Unpin>(
+    mut queue: impl Outbox<T>,
+    mut writer: FrameWriter<W>,
+    role: &str,
+) {
+    let frames_per_flush = knactor_types::metrics::global().histogram(
+        "knactor_net_batch_size",
+        &[("role", role), ("unit", "frames")],
+    );
+    let mut scratch = String::new();
+    while let Some(mut msg) = queue.recv().await {
+        let mut frames = 0u64;
+        loop {
+            if encode_into(&msg, &mut scratch).is_err()
+                || writer.write_frame_buffered(scratch.as_bytes()).is_err()
+            {
+                return;
+            }
+            frames += 1;
+            if writer.buffered_len() >= CORK_MAX_BYTES {
+                break;
+            }
+            match queue.try_recv() {
+                Some(next) => msg = next,
+                None => break,
+            }
+        }
+        frames_per_flush.observe_ns(frames);
+        if writer.flush().await.is_err() {
+            return;
+        }
     }
 }
 

@@ -4,11 +4,15 @@
 //! [`proto::Request`] / [`proto::Response`] — is the waist on the wire
 //! *and* in process:
 //!
-//! * [`api`] — [`api::Exchange`]: `call(Request) -> Response` plus the
-//!   watch/tail stream openers, the one trait every transport and layer
-//!   implements; and [`api::ExchangeApi`], the typed surface integrators
-//!   and reconcilers are written against, provided once over any
-//!   `Exchange` (nothing implements the typed methods by hand).
+//! * [`api`] — [`api::Exchange`]: `call(Request) -> Response` plus
+//!   `open(Request) -> Subscription`, the one trait every transport and
+//!   layer implements; and [`api::ExchangeApi`], the typed surface
+//!   integrators and reconcilers are written against, provided once over
+//!   any `Exchange` (nothing implements the typed methods by hand).
+//! * [`stream`] — [`stream::Subscription`], the one stream type every
+//!   layer returns and wraps, polled by its consumer; plus each stream
+//!   concern written once: the resume adaptor (dense-sequence rule,
+//!   re-open on gap or end, re-list on `WatchTooOld`) and the n-way merge.
 //! * [`frame`] — a length-prefixed frame codec over any async byte stream
 //!   (the Tokio framing pattern; 4-byte big-endian length + payload).
 //! * [`proto`] — the wire protocol: serde-encoded requests, responses, and
@@ -27,14 +31,13 @@
 //! * [`server`] / [`client`] — [`server::ExchangeServer`] runs the same
 //!   dispatcher behind TCP (admission control, push pumps, graceful
 //!   shutdown); [`client::TcpClient`] is the pipelined, demultiplexing
-//!   client, with optional injected latency (to model cluster RTTs
-//!   deterministically in benchmarks).
+//!   client.
 //!
 //! Everything else is a layer — an `Exchange` over `Exchange`s — so
 //! deployments are stacks, e.g. `Shard(Replica(Resilient(Tcp)))`:
 //!
 //! * [`client::ResilientClient`] — reconnect, backoff, lost-ack recovery
-//!   ([`client`] holds the one recovery function), watch/tail resume.
+//!   ([`client`] holds the one recovery function), stream resume.
 //! * [`router`] — [`router::ShardRouter`]: one logical exchange over N
 //!   shard nodes. A routing table from `Request` to key owner / store
 //!   owner / broadcast / scatter-gather / single-shard-only under a
@@ -61,6 +64,7 @@ pub mod proto;
 pub mod replica;
 pub mod router;
 pub mod server;
+pub mod stream;
 
 pub use api::{BoxFuture, Exchange, ExchangeApi, ReplStatusInfo, TailRx, WatchRx};
 pub use client::{ResilientClient, RetryPolicy, TcpClient};
@@ -71,6 +75,7 @@ pub use replica::{
 };
 pub use router::{ShardRouter, ShardedExchange};
 pub use server::ExchangeServer;
+pub use stream::Subscription;
 
 /// Re-export: sub-millisecond-accurate sleep used for latency injection.
 pub use knactor_store::profile::precise_sleep;

@@ -7,17 +7,21 @@
 //! deployments is what the dispatcher is constructed with — a serving
 //! node hands it its [`ReplRuntime`], a bare in-process exchange does not.
 
-use crate::api::{misrouted, WatchRx};
+use crate::api::misrouted;
 use crate::proto::{EventBody, Request, Response};
 use crate::replica::ReplRuntime;
+use crate::stream::Stream;
 use knactor_logstore::{LogExchange, TailEvent, TailRx};
 use knactor_rbac::Subject;
 use knactor_store::handle::WatchStream;
 use knactor_store::store::StoreWatch;
 use knactor_store::{BatchOp, DataExchange, ReplState, WatchEvent};
 use knactor_types::{metrics, Error, Result, StoreId};
+use std::future::Future;
 use std::path::PathBuf;
+use std::pin::pin;
 use std::sync::Arc;
+use std::task::{Context, Poll};
 use std::time::{Duration, Instant};
 
 /// How long a `ReplWait` barrier may block before reporting the replica
@@ -304,8 +308,9 @@ impl LocalExchange {
     }
 }
 
-/// A stream opened on a [`LocalExchange`], read either as wire bodies
-/// (the server's push pump) or through its native receiver (loopback).
+/// A stream opened on a [`LocalExchange`]: the in-process subscription.
+/// The server's push pump and a loopback consumer read the same thing, so
+/// both are bounded by the store's lag gate.
 pub enum LocalStream {
     Watch(WatchStream),
     Repl(StoreWatch),
@@ -346,25 +351,7 @@ impl LocalStream {
         match self {
             LocalStream::Watch(s) => s.try_recv().map(object_body),
             LocalStream::Repl(s) => s.try_recv().ok().map(object_body),
-            LocalStream::Tail(t) => t.try_recv().ok().map(tail_body),
-        }
-    }
-
-    /// The loopback view of an object stream. (Replication feeds are
-    /// node-to-node: followers subscribe over TCP.)
-    pub fn into_watch_rx(self) -> Result<WatchRx> {
-        match self {
-            LocalStream::Watch(stream) => Ok(stream.into_receiver()),
-            _ => Err(Error::Internal(
-                "only a client watch opens as an in-process object stream".to_string(),
-            )),
-        }
-    }
-
-    pub fn into_tail_rx(self) -> Result<TailRx> {
-        match self {
-            LocalStream::Tail(tail) => Ok(tail),
-            _ => Err(Error::Internal("not a log tail".to_string())),
+            LocalStream::Tail(t) => t.try_recv().map(tail_body),
         }
     }
 
@@ -383,5 +370,13 @@ impl LocalStream {
             },
             None => EventBody::Closed,
         }
+    }
+}
+
+impl Stream for LocalStream {
+    /// Every `recv` above keeps its state in the stream, not in the
+    /// future, so a fresh future per poll loses nothing.
+    fn poll_next(&mut self, cx: &mut Context<'_>) -> Poll<Option<EventBody>> {
+        pin!(self.recv()).poll(cx)
     }
 }

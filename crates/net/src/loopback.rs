@@ -7,9 +7,10 @@
 //! data exchange between DE and integrator" configuration, and the
 //! baseline the TCP transport is benchmarked against.
 
-use crate::api::{BoxFuture, Exchange, TailRx, WatchRx};
+use crate::api::{BoxFuture, Exchange};
 use crate::local::LocalExchange;
 use crate::proto::{Request, Response};
+use crate::stream::Subscription;
 use knactor_logstore::LogExchange;
 use knactor_rbac::Subject;
 use knactor_store::DataExchange;
@@ -66,12 +67,9 @@ impl Exchange for LoopbackClient {
         Box::pin(self.local.call(&self.subject, request))
     }
 
-    fn open_watch(&self, request: Request) -> BoxFuture<'_, Result<WatchRx>> {
-        Box::pin(async move { self.local.open(&self.subject, request)?.into_watch_rx() })
-    }
-
-    fn open_tail(&self, request: Request) -> BoxFuture<'_, Result<TailRx>> {
-        Box::pin(async move { self.local.open(&self.subject, request)?.into_tail_rx() })
+    fn open(&self, request: Request) -> BoxFuture<'_, Result<Subscription>> {
+        let opened = self.local.open(&self.subject, request);
+        Box::pin(async move { opened.map(Subscription::new) })
     }
 }
 

@@ -320,7 +320,7 @@ pub enum Request {
 
 impl Request {
     /// Stream requests open a subscription rather than earn one reply;
-    /// they travel through `Exchange::open_watch` / `open_tail`.
+    /// they travel through `Exchange::open`.
     pub fn is_stream(&self) -> bool {
         matches!(
             self,

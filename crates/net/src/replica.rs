@@ -30,12 +30,13 @@
 //! session and issues a `ReplWait` barrier before serving the session's
 //! read from a replica that has not provably caught up to it.
 
-use crate::api::{misrouted, BoxFuture, Exchange, ExchangeApi, ReplStatusInfo, TailRx, WatchRx};
+use crate::api::{misrouted, BoxFuture, Exchange, ExchangeApi, ReplStatusInfo};
 use crate::client::{recover_lost_ack, ResilientClient, RetryPolicy, TcpClient};
 use crate::fault::{FaultApi, FaultPlan};
 use crate::loopback::LoopbackClient;
 use crate::proto::{Request, Response};
 use crate::server::ExchangeServer;
+use crate::stream::{self, Subscription};
 use knactor_rbac::Subject;
 use knactor_store::ApplyOutcome as CursorOutcome;
 use knactor_store::{
@@ -48,7 +49,6 @@ use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use tokio::sync::mpsc;
 use tokio::task::JoinHandle;
 
 /// Follower → leader heartbeat cadence.
@@ -366,8 +366,8 @@ async fn replicate_store(
             let mut events = vec![first];
             while events.len() < APPLY_BATCH_MAX {
                 match rx.try_recv() {
-                    Ok(event) => events.push(event),
-                    Err(_) => break,
+                    Some(event) => events.push(event),
+                    None => break,
                 }
             }
             let mut ops = Vec::with_capacity(events.len());
@@ -781,51 +781,6 @@ impl ReplicaRouter {
         }
         Ok(Response::Ok)
     }
-
-    /// Watch through the replica set, surviving node loss: the stream
-    /// rides one node's (resilient) watch until that node dies, then
-    /// resumes from the router's own `last_seen` cursor on another
-    /// member — deduplicating the overlap and verifying the dense
-    /// revision sequence, exactly like the single-node resume protocol.
-    ///
-    /// Watches prefer replicas: a replica only ever fans out *applied
-    /// replicated* state, so a promotion can never retract an event this
-    /// stream delivered.
-    async fn failover_watch(&self, store: StoreId, from: Revision) -> Result<WatchRx> {
-        let nodes = self.nodes.clone();
-        let start = rotation(nodes.len(), self.leader_index());
-        // Establish eagerly so immediate errors surface to the caller.
-        let (mut current, mut inner) = establish_watch(&nodes, &start, &store, from).await?;
-        let (tx, rx) = mpsc::unbounded_channel();
-        tokio::spawn(async move {
-            let mut last_seen = from;
-            loop {
-                match inner.recv().await {
-                    Some(event) if event.revision <= last_seen => continue, // resubscription overlap
-                    Some(event) if event.revision.0 == last_seen.0 + 1 => {
-                        last_seen = event.revision;
-                        if tx.send(event).is_err() {
-                            return; // consumer gone
-                        }
-                        continue;
-                    }
-                    // A gap on the live stream (resume from the cursor rather
-                    // than deliver a hole), or this node's watch gave up
-                    // (node dead): resume on the next member.
-                    _ => {}
-                }
-                let order = rotation(nodes.len(), current);
-                match establish_watch(&nodes, &order, &store, last_seen).await {
-                    Ok((node, stream)) => {
-                        current = node;
-                        inner = stream;
-                    }
-                    Err(_) => break,
-                }
-            }
-        });
-        Ok(rx)
-    }
 }
 
 impl Exchange for ReplicaRouter {
@@ -843,17 +798,58 @@ impl Exchange for ReplicaRouter {
         })
     }
 
-    fn open_watch(&self, request: Request) -> BoxFuture<'_, Result<WatchRx>> {
-        Box::pin(async move {
-            match request {
-                Request::Watch { store, from } => self.failover_watch(store, from).await,
-                other => Err(misrouted(&other, "ReplicaRouter::open_watch")),
+    fn open(&self, request: Request) -> BoxFuture<'_, Result<Subscription>> {
+        match request {
+            // Watch through the replica set, surviving node loss: the
+            // stream rides one member until that member's stream ends,
+            // then resumes from its position on the next one.
+            Request::Watch { .. } => {
+                let rotation = Rotation {
+                    nodes: self.nodes.clone(),
+                    current: AtomicUsize::new(self.leader_index()),
+                };
+                Box::pin(stream::resume(Arc::new(rotation), request))
             }
-        })
+            // Log stores are not replicated; they ride the leader.
+            Request::LogTail { .. } => self.leader_node().open(request),
+            // Replication feeds address one node.
+            other => Box::pin(async move { Err(misrouted(&other, "ReplicaRouter::open")) }),
+        }
+    }
+}
+
+/// "The next node in rotation", as the exchange a replica set's watch is
+/// (re)opened on: every node but the one the last stream rode (initially
+/// the leader), then that one as the last resort. Watches so prefer
+/// replicas: a replica only ever fans out *applied replicated* state, so a
+/// promotion can never retract an event the stream delivered.
+struct Rotation {
+    nodes: Vec<Arc<dyn Exchange>>,
+    current: AtomicUsize,
+}
+
+impl Exchange for Rotation {
+    /// The re-list reads the node the watch last rode.
+    fn call(&self, request: Request) -> BoxFuture<'_, Result<Response>> {
+        self.nodes[self.current.load(Ordering::Acquire)].call(request)
     }
 
-    fn open_tail(&self, request: Request) -> BoxFuture<'_, Result<TailRx>> {
-        self.leader_node().open_tail(request)
+    fn open(&self, request: Request) -> BoxFuture<'_, Result<Subscription>> {
+        Box::pin(async move {
+            let last = self.current.load(Ordering::Acquire);
+            let mut failed = Error::Transport("no watchable replica".to_string());
+            let others = (0..self.nodes.len()).filter(|idx| *idx != last);
+            for idx in others.chain([last]) {
+                match self.nodes[idx].open(request.clone()).await {
+                    Ok(stream) => {
+                        self.current.store(idx, Ordering::Release);
+                        return Ok(stream);
+                    }
+                    Err(e) => failed = e,
+                }
+            }
+            Err(failed)
+        })
     }
 }
 
@@ -862,32 +858,6 @@ fn item_revision(item: &ItemResult) -> Option<Revision> {
         ItemResult::Revision { revision } => Some(*revision),
         _ => None,
     }
-}
-
-/// Every node but `last`, then `last`: the watch preference order with
-/// the leader last (so the stream observes only replicated state), and
-/// the resume order after node `last` failed (it is the last resort).
-fn rotation(n: usize, last: usize) -> Vec<usize> {
-    let mut order: Vec<usize> = (0..n).filter(|i| *i != last).collect();
-    order.push(last);
-    order
-}
-
-/// Try the given nodes in order until one yields a watch stream.
-async fn establish_watch(
-    nodes: &[Arc<dyn Exchange>],
-    order: &[usize],
-    store: &StoreId,
-    from: Revision,
-) -> Result<(usize, WatchRx)> {
-    let mut last: Option<Error> = None;
-    for idx in order {
-        match nodes[*idx].watch(store.clone(), from).await {
-            Ok(rx) => return Ok((*idx, rx)),
-            Err(e) => last = Some(e),
-        }
-    }
-    Err(last.unwrap_or_else(|| Error::Transport("no watchable replica".to_string())))
 }
 
 // ---------------------------------------------------------------------------

@@ -13,7 +13,8 @@
 //!   for *its* items only — never a whole-batch abort — so callers keep
 //!   the per-item recovery semantics they already have.
 //! * **Watches** merge the per-shard revision streams into one
-//!   subscription carrying dense *virtual* revisions (see below).
+//!   subscription carrying dense *virtual* revisions (see below); it ends
+//!   as soon as any shard's stream ends.
 //! * **Store-routed ops**: a Log-DE store lives whole on one shard (its
 //!   dense append sequence cannot be split), so every `log_*` call routes
 //!   by store id.
@@ -44,10 +45,11 @@
 //! re-sending the other shards' sub-batches) or a whole
 //! [`crate::ReplicaRouter`] (a replica set per shard).
 
-use crate::api::{misrouted, BoxFuture, Exchange, ExchangeApi, TailRx, WatchRx};
+use crate::api::{misrouted, watch_event, BoxFuture, Exchange, ExchangeApi};
 use crate::client::{ResilientClient, RetryPolicy, TcpClient};
-use crate::proto::{Request, Response};
+use crate::proto::{EventBody, Request, Response};
 use crate::server::ExchangeServer;
+use crate::stream::{Merge, Stream, Subscription};
 use knactor_logstore::LogExchange;
 use knactor_rbac::Subject;
 use knactor_store::{BatchOp, DataExchange, ItemResult, ShardMap, WatchEvent};
@@ -58,7 +60,7 @@ use std::collections::{BTreeMap, HashMap};
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use tokio::sync::mpsc;
+use std::task::{ready, Context, Poll};
 
 /// Virtual-revision decompositions remembered per store. Bounded so a
 /// long-lived router doesn't grow without limit; a resume point older
@@ -363,72 +365,68 @@ impl ShardRouter {
 
     /// One subscription over every shard's stream, renumbered with dense
     /// virtual revisions (module docs).
-    async fn merged_watch(&self, store: StoreId, from: Revision) -> Result<WatchRx> {
-        let n = self.shards.len();
-        let start: Vec<u64> = if from.0 == 0 {
-            vec![0; n]
+    async fn merged_watch(&self, store: StoreId, from: Revision) -> Result<Subscription> {
+        let shard_revs: Vec<u64> = if from.0 == 0 {
+            vec![0; self.shards.len()]
         } else {
-            let found = self
-                .cursors
-                .lock()
-                .get(&store)
-                .and_then(|per| per.get(&from.0))
-                .cloned();
-            match found {
-                Some(revs) => revs,
+            let cursors = self.cursors.lock();
+            let per_store = cursors.get(&store);
+            match per_store.and_then(|per| per.get(&from.0)) {
+                Some(revs) => revs.clone(),
+                // We no longer remember how `from` decomposes into
+                // per-shard cursors; send the caller through the standard
+                // re-list fallback (its `list` will seed a fresh
+                // decomposition).
                 None => {
-                    // We no longer remember how `from` decomposes
-                    // into per-shard cursors; send the caller through
-                    // the standard re-list fallback (its `list` will
-                    // seed a fresh decomposition).
-                    let oldest = self
-                        .cursors
-                        .lock()
-                        .get(&store)
-                        .and_then(|per| per.keys().next().copied())
-                        .unwrap_or(0);
                     return Err(Error::WatchTooOld {
                         from: from.0,
-                        oldest,
-                    });
+                        oldest: per_store
+                            .and_then(|per| per.keys().next().copied())
+                            .unwrap_or(0),
+                    })
                 }
             }
         };
-
-        // Subscribe every shard before forwarding anything, so no
+        // Every shard is subscribed before anything is delivered, so no
         // shard's events race the subscription of another.
-        let (merge_tx, mut merge_rx) = mpsc::unbounded_channel::<(usize, WatchEvent)>();
-        for (i, &cursor) in start.iter().enumerate() {
-            let mut sub = self.shards[i]
-                .watch(store.clone(), Revision(cursor))
-                .await?;
-            let tx = merge_tx.clone();
-            tokio::spawn(async move {
-                while let Some(event) = sub.recv().await {
-                    if tx.send((i, event)).is_err() {
-                        break;
-                    }
-                }
-            });
+        let mut members = Vec::with_capacity(shard_revs.len());
+        for (shard, &cursor) in self.shards.iter().zip(&shard_revs) {
+            let store = store.clone();
+            let from = Revision(cursor);
+            members.push(shard.open(Request::Watch { store, from }).await?);
         }
-        drop(merge_tx);
+        Ok(Subscription::new(MergedWatch {
+            shards: Merge::new(members, watch_event),
+            store,
+            cursors: Arc::clone(&self.cursors),
+            shard_revs,
+            virtual_rev: from.0,
+        }))
+    }
+}
 
-        let (out_tx, out_rx) = mpsc::unbounded_channel();
-        let cursors = Arc::clone(&self.cursors);
-        let mut shard_revs = start;
-        let mut virtual_rev = from.0;
-        tokio::spawn(async move {
-            while let Some((shard, mut event)) = merge_rx.recv().await {
-                shard_revs[shard] = event.revision.0;
-                virtual_rev += 1;
-                event.revision = Revision(virtual_rev);
-                remember_cursor(&cursors, &store, virtual_rev, shard_revs.clone());
-                if out_tx.send(event).is_err() {
-                    break;
-                }
-            }
-        });
-        Ok(out_rx)
+/// The shard watches of one store merged (ending when any shard's stream
+/// ends, so the consumer re-opens from its cursor instead of going deaf on
+/// that shard) and renumbered in delivery order.
+struct MergedWatch {
+    shards: Merge<WatchEvent>,
+    store: StoreId,
+    cursors: Arc<CursorCache>,
+    shard_revs: Vec<u64>,
+    virtual_rev: u64,
+}
+
+impl Stream for MergedWatch {
+    fn poll_next(&mut self, cx: &mut Context<'_>) -> Poll<Option<EventBody>> {
+        let Some((shard, mut event)) = ready!(self.shards.poll_next(cx)) else {
+            return Poll::Ready(None);
+        };
+        self.shard_revs[shard] = event.revision.0;
+        self.virtual_rev += 1;
+        event.revision = Revision(self.virtual_rev);
+        let decomposition = self.shard_revs.clone();
+        remember_cursor(&self.cursors, &self.store, self.virtual_rev, decomposition);
+        Poll::Ready(Some(EventBody::Object { event }))
     }
 }
 
@@ -520,21 +518,15 @@ impl Exchange for ShardRouter {
         })
     }
 
-    fn open_watch(&self, request: Request) -> BoxFuture<'_, Result<WatchRx>> {
-        Box::pin(async move {
-            match request {
-                Request::Watch { store, from } => self.merged_watch(store, from).await,
-                other => Err(misrouted(&other, "ShardRouter::open_watch")),
+    fn open(&self, request: Request) -> BoxFuture<'_, Result<Subscription>> {
+        match request {
+            Request::Watch { store, from } => Box::pin(self.merged_watch(store, from)),
+            // A Log-DE store lives whole on one shard.
+            Request::LogTail { ref store, .. } => {
+                self.shards[self.shard_of_store(store)].open(request)
             }
-        })
-    }
-
-    fn open_tail(&self, request: Request) -> BoxFuture<'_, Result<TailRx>> {
-        match &request {
-            Request::LogTail { store, .. } => {
-                self.shards[self.shard_of_store(store)].open_tail(request)
-            }
-            _ => Box::pin(async move { Err(misrouted(&request, "open_tail")) }),
+            // Replication feeds address one node.
+            other => Box::pin(async move { Err(misrouted(&other, "ShardRouter::open")) }),
         }
     }
 }
@@ -721,46 +713,6 @@ mod tests {
             populated >= 3,
             "64 keys landed on only {populated} of 4 shards"
         );
-    }
-
-    #[tokio::test]
-    async fn merged_watch_is_dense_and_resumable() {
-        let (_, _, router) = ShardRouter::in_process(4, Subject::integrator("t"));
-        let store = StoreId::new("w/state");
-        router
-            .create_store(store.clone(), ProfileSpec::Instant)
-            .await
-            .unwrap();
-        let mut sub = router.watch(store.clone(), Revision::ZERO).await.unwrap();
-        for i in 0..20 {
-            router
-                .create(store.clone(), key(i), json!({"n": i}))
-                .await
-                .unwrap();
-        }
-        let mut seen = Vec::new();
-        for _ in 0..20 {
-            seen.push(sub.recv().await.unwrap());
-        }
-        let revisions: Vec<u64> = seen.iter().map(|e| e.revision.0).collect();
-        assert_eq!(revisions, (1..=20).collect::<Vec<_>>());
-
-        // Resume mid-stream from a delivered virtual revision: the rest
-        // of the stream replays exactly once.
-        let mut resumed = router.watch(store.clone(), Revision(12)).await.unwrap();
-        let mut replayed = Vec::new();
-        for _ in 0..8 {
-            replayed.push(resumed.recv().await.unwrap());
-        }
-        assert_eq!(
-            replayed.iter().map(|e| e.revision.0).collect::<Vec<_>>(),
-            (13..=20).collect::<Vec<_>>()
-        );
-        let mut original: Vec<_> = seen[12..].iter().map(|e| e.key.clone()).collect();
-        let mut resumed_keys: Vec<_> = replayed.iter().map(|e| e.key.clone()).collect();
-        original.sort();
-        resumed_keys.sort();
-        assert_eq!(original, resumed_keys);
     }
 
     #[tokio::test]

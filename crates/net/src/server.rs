@@ -7,19 +7,17 @@
 //! Tokio graceful-shutdown pattern: a broadcast flag observed by the
 //! accept loop and every connection task.
 
-use crate::frame::{FrameReader, FrameWriter};
+use crate::frame::{write_corked, FrameReader, FrameWriter};
 use crate::local::{LocalExchange, LocalStream};
 use crate::loopback::LoopbackClient;
-use crate::proto::{
-    decode, encode_into, EventBody, Hello, Request, RequestEnvelope, Response, ServerMsg,
-};
+use crate::proto::{decode, EventBody, Hello, Request, RequestEnvelope, Response, ServerMsg};
 use crate::replica::ReplRuntime;
 use knactor_logstore::LogExchange;
 use knactor_rbac::Subject;
 use knactor_store::DataExchange;
 use knactor_types::{metrics, Error, Result, StoreId, Value};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicI64, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use tokio::net::{TcpListener, TcpStream};
 use tokio::sync::{mpsc, watch};
@@ -68,8 +66,9 @@ pub struct ExchangeServer {
     local_addr: std::net::SocketAddr,
     shutdown_tx: watch::Sender<bool>,
     accept_task: JoinHandle<()>,
-    /// The dispatcher every connection (and [`Self::loopback`]) runs.
-    local: Arc<LocalExchange>,
+    /// What every connection shares; its dispatcher is also what
+    /// [`Self::loopback`] runs.
+    ctx: Arc<ServerCtx>,
     /// Bound to port 0: the data dir is per-instance and disposable.
     ephemeral: bool,
     repl: Arc<ReplRuntime>,
@@ -128,21 +127,22 @@ impl ExchangeServer {
             repl: Some(Arc::clone(&repl)),
         });
         let ctx = Arc::new(ServerCtx {
-            local: Arc::clone(&local),
+            local,
             next_sub: AtomicU64::new(1),
+            subscriptions: AtomicUsize::new(0),
             config,
             inflight: AtomicI64::new(0),
             shed_total: reg.counter("knactor_net_shed_total", &[("role", "server")]),
             inflight_gauge: reg.gauge("knactor_net_inflight", &[("role", "server")]),
         });
-        let accept_task = tokio::spawn(accept_loop(listener, ctx, shutdown_rx));
+        let accept_task = tokio::spawn(accept_loop(listener, Arc::clone(&ctx), shutdown_rx));
         Ok(ExchangeServer {
             object,
             log,
             local_addr,
             shutdown_tx,
             accept_task,
-            local,
+            ctx,
             ephemeral,
             repl,
         })
@@ -164,14 +164,20 @@ impl ExchangeServer {
 
     /// Directory under which remotely-requested durable stores place WALs.
     pub fn data_dir(&self) -> &std::path::Path {
-        &self.local.data_dir
+        &self.ctx.local.data_dir
     }
 
     /// An in-process client onto this node's own dispatcher: the same
     /// leader fence and replication wiring a TCP client meets, minus the
     /// wire and admission control.
     pub fn loopback(&self, subject: Subject) -> LoopbackClient {
-        LoopbackClient::over(Arc::clone(&self.local), subject)
+        LoopbackClient::over(Arc::clone(&self.ctx.local), subject)
+    }
+
+    /// Push subscriptions this server holds open across its connections
+    /// (diagnostics, like `ObjectStore::subscriber_count`).
+    pub fn subscriptions(&self) -> usize {
+        self.ctx.subscriptions.load(Ordering::Relaxed)
     }
 
     /// This node's replication role state (leader by default).
@@ -187,7 +193,7 @@ impl ExchangeServer {
         // An ephemeral server's WALs are unreachable after shutdown (no
         // one can re-bind "the same" port-0 server), so reclaim the dir.
         if self.ephemeral {
-            let _ = std::fs::remove_dir_all(&self.local.data_dir);
+            let _ = std::fs::remove_dir_all(&self.ctx.local.data_dir);
         }
     }
 }
@@ -195,6 +201,8 @@ impl ExchangeServer {
 struct ServerCtx {
     local: Arc<LocalExchange>,
     next_sub: AtomicU64,
+    /// Entries in the connections' `subs` maps, summed.
+    subscriptions: AtomicUsize,
     config: ServerConfig,
     /// Requests currently executing across all connections.
     inflight: AtomicI64,
@@ -273,55 +281,14 @@ async fn serve_connection(
     let (read_half, write_half) = socket.into_split();
     let mut reader = FrameReader::new(read_half);
 
-    // Outbound writer task: everything the server sends goes through
-    // here. The loop is *corked*: after the blocking recv it drains every
-    // already-queued message into the frame writer's scratch buffer and
-    // flushes once, so a burst of replies/events costs one socket write.
-    //
-    // The channel is *bounded*: a client that stops reading fills it,
-    // which parks the enqueuers — fan-out tasks first, and ultimately the
-    // request loop itself, which stops reading requests and lets TCP
-    // push the backpressure to the producer.
-    let (out_tx, mut out_rx) = mpsc::channel::<ServerMsg>(ctx.config.outbound_queue);
-    let writer_task = tokio::spawn(async move {
-        let mut writer = FrameWriter::new(write_half);
-        let mut scratch = String::new();
-        let frames_per_flush = metrics::global().histogram(
-            "knactor_net_batch_size",
-            &[("role", "server"), ("unit", "frames")],
-        );
-        'conn: while let Some(first) = out_rx.recv().await {
-            let mut msg = first;
-            let mut frames: u64 = 0;
-            loop {
-                if encode_into(&msg, &mut scratch).is_err() {
-                    break 'conn;
-                }
-                if writer.write_frame_buffered(scratch.as_bytes()).is_err() {
-                    break 'conn;
-                }
-                frames += 1;
-                // The cork is byte-bounded: without the cap, a producer
-                // that refills the queue as fast as this loop drains it
-                // would keep the drain going forever, growing the staged
-                // buffer without bound and never reaching the flush —
-                // which is where a slow peer's TCP backpressure actually
-                // parks this task. The cap keeps the batching win while
-                // guaranteeing every staged byte meets the socket.
-                if writer.buffered_len() >= CORK_MAX_BYTES {
-                    break;
-                }
-                match out_rx.try_recv() {
-                    Ok(next) => msg = next,
-                    Err(_) => break,
-                }
-            }
-            frames_per_flush.observe_ns(frames);
-            if writer.flush().await.is_err() {
-                break;
-            }
-        }
-    });
+    // Everything the server sends goes through the corked writer task.
+    // Its queue is *bounded*: a client that stops reading fills it, which
+    // parks the enqueuers — fan-out tasks first, and ultimately the
+    // request loop itself, which stops reading requests and lets TCP push
+    // the backpressure to the producer.
+    let (out_tx, out_rx) = mpsc::channel::<ServerMsg>(ctx.config.outbound_queue);
+    let writer = FrameWriter::new(write_half);
+    let writer_task = tokio::spawn(write_corked(out_rx, writer, "server"));
 
     // Hello frame: who is this?
     let subject = match reader.read_frame().await? {
@@ -397,6 +364,7 @@ async fn serve_connection(
         }
     };
 
+    ctx.subscriptions.fetch_sub(subs.len(), Ordering::Relaxed);
     for (_, task) in subs {
         task.abort();
     }
@@ -404,10 +372,6 @@ async fn serve_connection(
     let _ = writer_task.await;
     result
 }
-
-/// Byte ceiling for one corked writer drain: once this much is staged
-/// unflushed, the writer flushes before draining more of its queue.
-const CORK_MAX_BYTES: usize = 256 * 1024;
 
 /// Most events a single pushed frame may carry.
 const BATCH_MAX_EVENTS: usize = 128;
@@ -486,6 +450,7 @@ async fn dispatch(
             // A failed send means the connection is gone: nothing to pump to.
             if out_tx.send(ServerMsg::Reply { id, response }).await.is_ok() {
                 subs.insert(sub_id, tokio::spawn(pump(stream, sub_id, out_tx.clone())));
+                ctx.subscriptions.fetch_add(1, Ordering::Relaxed);
             }
             Ok(None)
         }
@@ -493,6 +458,7 @@ async fn dispatch(
         Request::Unwatch { sub_id } => match subs.remove(&sub_id) {
             Some(task) => {
                 task.abort();
+                ctx.subscriptions.fetch_sub(1, Ordering::Relaxed);
                 Ok(Some(Response::Ok))
             }
             None => Err(Error::NotFound(format!("subscription {sub_id}"))),

@@ -92,57 +92,6 @@ async fn crud_over_tcp() {
 }
 
 #[tokio::test]
-async fn watch_over_tcp_delivers_in_order() {
-    let server = test_server(&["s/a"], &[]).await.unwrap();
-    let client = client_for(&server, Subject::operator("w")).await;
-    let store = StoreId::new("s/a");
-
-    let mut rx = client.watch(store.clone(), Revision::ZERO).await.unwrap();
-    for i in 0..10 {
-        client
-            .create(
-                store.clone(),
-                ObjectKey::new(format!("k{i}")),
-                json!({"i": i}),
-            )
-            .await
-            .unwrap();
-    }
-    for i in 0..10u64 {
-        let e = tokio::time::timeout(Duration::from_secs(2), rx.recv())
-            .await
-            .expect("timed out")
-            .expect("stream ended");
-        assert_eq!(e.revision, Revision(i + 1));
-    }
-    server.shutdown().await;
-}
-
-#[tokio::test]
-async fn watch_replays_history_from_revision() {
-    let server = test_server(&["s/a"], &[]).await.unwrap();
-    let client = client_for(&server, Subject::operator("w")).await;
-    let store = StoreId::new("s/a");
-    client
-        .create(store.clone(), ObjectKey::new("a"), json!(1))
-        .await
-        .unwrap();
-    let rev = client
-        .create(store.clone(), ObjectKey::new("b"), json!(2))
-        .await
-        .unwrap();
-    client
-        .create(store.clone(), ObjectKey::new("c"), json!(3))
-        .await
-        .unwrap();
-
-    let mut rx = client.watch(store.clone(), rev).await.unwrap();
-    let e = rx.recv().await.unwrap();
-    assert_eq!(e.key, ObjectKey::new("c"));
-    server.shutdown().await;
-}
-
-#[tokio::test]
 async fn schema_and_udf_over_tcp() {
     let server = test_server(&["checkout/state", "shipping/state"], &[])
         .await
@@ -312,25 +261,43 @@ async fn remote_store_creation_with_profiles() {
     server.shutdown().await;
 }
 
+/// Regression: a client-side stream that was dropped used to leak its
+/// server-side subscription for the life of the connection — the client
+/// forgot it locally and never told the server, whose pump task, store
+/// watch and store-side subscriber kept running, every later event still
+/// cloned, encoded, framed, sent and decoded, then discarded. The one
+/// client-side subscription now sends `Unwatch` when its consumer goes.
 #[tokio::test]
-async fn injected_latency_slows_requests() {
-    let server = test_server(&["s/x"], &[]).await.unwrap();
-    let fast = client_for(&server, Subject::operator("f")).await;
-    let slow = TcpClient::connect(server.local_addr(), Subject::operator("s"))
+async fn a_dropped_stream_releases_its_server_side_subscription() {
+    let server = test_server(&["s/x"], &["l/x"]).await.unwrap();
+    let client = client_for(&server, Subject::operator("c")).await;
+    let store = server.object.store(&StoreId::new("s/x")).unwrap();
+    // A wait on state; the deadline only bounds a failure.
+    async fn released(what: &str, held: impl Fn() -> usize) {
+        let deadline = std::time::Instant::now() + Duration::from_secs(10);
+        while held() != 0 {
+            assert!(std::time::Instant::now() < deadline, "{what} still held");
+            tokio::time::sleep(Duration::from_millis(1)).await;
+        }
+    }
+
+    let watch = client.watch("s/x".into(), Revision::ZERO).await.unwrap();
+    assert_eq!(store.subscriber_count(), 1);
+    drop(watch);
+    client
+        .create("s/x".into(), ObjectKey::new("k"), json!(1))
         .await
-        .unwrap()
-        .with_latency(Duration::from_millis(20));
+        .unwrap();
+    released("the store-side subscriber", || store.subscriber_count()).await;
 
-    let t0 = std::time::Instant::now();
-    fast.ping().await.unwrap();
-    let fast_time = t0.elapsed();
-
-    let t0 = std::time::Instant::now();
-    slow.ping().await.unwrap();
-    let slow_time = t0.elapsed();
-
-    assert!(slow_time >= Duration::from_millis(20));
-    assert!(slow_time > fast_time);
+    let tail = client.log_tail("l/x".into(), 0).await.unwrap();
+    assert_eq!(server.subscriptions(), 1);
+    drop(tail);
+    client
+        .log_append("l/x".into(), json!({"n": 1}))
+        .await
+        .unwrap();
+    released("the connection's subscription", || server.subscriptions()).await;
     server.shutdown().await;
 }
 

@@ -20,8 +20,11 @@ use crate::store::ObjectStore;
 use knactor_rbac::{AccessContext, AccessController, Subject, Verb};
 use knactor_types::{Error, ObjectKey, Result, Revision, Value};
 use parking_lot::RwLock;
+use std::collections::VecDeque;
 use std::sync::Arc;
+use std::time::Duration;
 use tokio::sync::mpsc;
+use tokio::time::Instant;
 
 /// Async, access-controlled, latency-faithful client to one store.
 #[derive(Clone)]
@@ -41,29 +44,31 @@ impl std::fmt::Debug for StoreHandle {
     }
 }
 
-/// A watch subscription. Events arrive in revision order, exactly once.
+/// A watch subscription. Events arrive in revision order, exactly once,
+/// redacted to what the handle's subject may read.
 ///
-/// When the stream ends, [`WatchStream::lag_resume_from`] distinguishes
-/// "the store cut this subscriber for lagging" (a typed, gapless resume
-/// point) from an ordinary close.
+/// The consumer's own `recv` drives delivery — there is no pump task in
+/// between — so every read feeds the store-level lag gate: a consumer that
+/// stops reading is the one that gets cut. When the stream ends,
+/// [`WatchStream::lag_resume_from`] distinguishes "the store cut this
+/// subscriber for lagging" (a typed, gapless resume point) from an
+/// ordinary close.
 pub struct WatchStream {
-    inner: WatchInner,
-    probe: crate::store::LagProbe,
+    src: crate::store::StoreWatch,
+    handle: StoreHandle,
+    /// Poll delivery only: the list-watch poller's state.
+    poll: Option<Poller>,
 }
 
-enum WatchInner {
-    /// Push delivery reads the store's stream directly: every consumer
-    /// `recv` feeds the store-level lag gate, so a consumer that stops
-    /// reading is the one that gets cut — with no intermediate pump
-    /// eagerly buffering on its behalf.
-    Direct {
-        src: crate::store::StoreWatch,
-        handle: StoreHandle,
-    },
-    /// Poll delivery keeps a pump task that buffers between ticks
-    /// (list-watch cadence); the pump reads promptly, so the lag gate
-    /// effectively bounds the poll buffer plus channel backlog.
-    Pumped(mpsc::UnboundedReceiver<WatchEvent>),
+/// Poll delivery (list-watch cadence): committed events become visible
+/// at the next tick of a fixed-interval poller, never in between.
+struct Poller {
+    interval: Duration,
+    next_tick: Instant,
+    /// Events the last tick made visible, not yet read.
+    visible: VecDeque<WatchEvent>,
+    /// The source ended; `visible` is all that is left.
+    ended: bool,
 }
 
 impl WatchStream {
@@ -71,68 +76,65 @@ impl WatchStream {
     /// down, or this subscriber was cut for lagging — see
     /// [`WatchStream::lag_resume_from`]).
     pub async fn recv(&mut self) -> Option<WatchEvent> {
-        match &mut self.inner {
-            WatchInner::Direct { src, handle } => loop {
-                let mut event = src.recv().await?;
-                match handle.redact(&event.value) {
-                    Ok(v) => event.value = v,
-                    // A value this subject may not see at all is skipped.
-                    Err(_) => continue,
-                }
+        loop {
+            if let Some(event) = self.try_recv() {
                 return Some(event);
-            },
-            WatchInner::Pumped(rx) => rx.recv().await,
+            }
+            match &self.poll {
+                None => {
+                    let event = self.src.recv().await?;
+                    if let Some(event) = self.admit(event) {
+                        return Some(event);
+                    }
+                }
+                Some(poller) if poller.ended => return None,
+                Some(poller) => tokio::time::sleep_until(poller.next_tick).await,
+            }
         }
     }
 
-    /// Non-blocking poll used by tests and draining loops.
+    /// An event that is already visible, without waiting.
     pub fn try_recv(&mut self) -> Option<WatchEvent> {
-        match &mut self.inner {
-            WatchInner::Direct { src, handle } => loop {
-                let mut event = src.try_recv().ok()?;
-                match handle.redact(&event.value) {
-                    Ok(v) => event.value = v,
-                    Err(_) => continue,
+        loop {
+            let event = match &mut self.poll {
+                None => self.src.try_recv().ok()?,
+                Some(poller) => {
+                    if poller.visible.is_empty() && Instant::now() >= poller.next_tick {
+                        // Re-anchor on the actual tick so ticks never bunch
+                        // up behind a consumer that was busy.
+                        poller.next_tick = Instant::now() + poller.interval;
+                        loop {
+                            match self.src.try_recv() {
+                                Ok(event) => poller.visible.push_back(event),
+                                Err(mpsc::error::TryRecvError::Empty) => break,
+                                Err(mpsc::error::TryRecvError::Disconnected) => {
+                                    poller.ended = true;
+                                    break;
+                                }
+                            }
+                        }
+                    }
+                    poller.visible.pop_front()?
                 }
+            };
+            if let Some(event) = self.admit(event) {
                 return Some(event);
-            },
-            WatchInner::Pumped(rx) => rx.try_recv().ok(),
+            }
         }
+    }
+
+    /// The one redaction site: project the event down to what the subject
+    /// may read; a value it may not see at all is skipped.
+    fn admit(&self, mut event: WatchEvent) -> Option<WatchEvent> {
+        event.value = self.handle.redact(&event.value).ok()?;
+        Some(event)
     }
 
     /// `Some(resume_from)` once the store cut this subscriber for
     /// exceeding its lag cap; resume with `watch_from(resume_from)`
     /// (falling back to list+rewatch on `WatchTooOld`).
     pub fn lag_resume_from(&self) -> Option<Revision> {
-        self.probe.resume_from()
-    }
-
-    /// Unwrap into a raw channel (transport adapters).
-    ///
-    /// For direct (push) streams this spawns a forwarder task, which
-    /// reads eagerly on the adapter's behalf: the in-process loopback
-    /// path deliberately opts out of per-subscriber lag cutoffs (its
-    /// consumers share the process; wire subscribers get the bounded
-    /// treatment in `knactor-net`).
-    pub fn into_receiver(self) -> mpsc::UnboundedReceiver<WatchEvent> {
-        match self.inner {
-            WatchInner::Direct { mut src, handle } => {
-                let (tx, rx) = mpsc::unbounded_channel();
-                tokio::spawn(async move {
-                    while let Some(mut event) = src.recv().await {
-                        match handle.redact(&event.value) {
-                            Ok(v) => event.value = v,
-                            Err(_) => continue,
-                        }
-                        if tx.send(event).is_err() {
-                            break;
-                        }
-                    }
-                });
-                rx
-            }
-            WatchInner::Pumped(rx) => rx,
-        }
+        self.src.lag_resume_from()
     }
 }
 
@@ -326,83 +328,27 @@ impl StoreHandle {
     /// follows the engine profile (push vs poll).
     pub fn watch_from(&self, from: Revision) -> Result<WatchStream> {
         self.check(Verb::Watch)?;
-        let src = self.store.watch_from(from)?;
-        let probe = src.probe();
-        let inner = match self.store.profile().watch {
-            WatchDelivery::Push => WatchInner::Direct {
-                src,
-                handle: self.clone(),
-            },
-            WatchDelivery::Poll { .. } => WatchInner::Pumped(self.pump(src)),
+        let poll = match self.store.profile().watch {
+            WatchDelivery::Push => None,
+            // The first batch waits a full interval, like a real
+            // list-watch poller.
+            WatchDelivery::Poll { interval } => Some(Poller {
+                interval,
+                next_tick: Instant::now() + interval,
+                visible: VecDeque::new(),
+                ended: false,
+            }),
         };
-        Ok(WatchStream { inner, probe })
+        Ok(WatchStream {
+            src: self.store.watch_from(from)?,
+            handle: self.clone(),
+            poll,
+        })
     }
 
     /// Watch from the beginning of retained history.
     pub fn watch(&self) -> Result<WatchStream> {
         self.watch_from(Revision::ZERO)
-    }
-
-    /// Spawn the delivery pump implementing poll-mode watch delivery.
-    fn pump(&self, mut src: crate::store::StoreWatch) -> mpsc::UnboundedReceiver<WatchEvent> {
-        let (tx, rx) = mpsc::unbounded_channel();
-        let delivery = self.store.profile().watch;
-        let handle = self.clone();
-        tokio::spawn(async move {
-            match delivery {
-                WatchDelivery::Push => {
-                    while let Some(mut event) = src.recv().await {
-                        match handle.redact(&event.value) {
-                            Ok(v) => event.value = v,
-                            Err(_) => continue,
-                        }
-                        if tx.send(event).is_err() {
-                            break;
-                        }
-                    }
-                }
-                WatchDelivery::Poll { interval } => {
-                    let mut ticker = tokio::time::interval(interval);
-                    ticker.set_missed_tick_behavior(tokio::time::MissedTickBehavior::Delay);
-                    // First tick completes immediately; consume it so the
-                    // first batch waits a full poll interval like a real
-                    // list-watch poller.
-                    ticker.tick().await;
-                    let mut buffer: Vec<WatchEvent> = Vec::new();
-                    loop {
-                        tokio::select! {
-                            maybe = src.recv() => {
-                                match maybe {
-                                    Some(e) => buffer.push(e),
-                                    None => {
-                                        // Source closed: flush and stop.
-                                        for mut event in buffer.drain(..) {
-                                            if let Ok(v) = handle.redact(&event.value) {
-                                                event.value = v;
-                                                let _ = tx.send(event);
-                                            }
-                                        }
-                                        break;
-                                    }
-                                }
-                            }
-                            _ = ticker.tick() => {
-                                for mut event in buffer.drain(..) {
-                                    match handle.redact(&event.value) {
-                                        Ok(v) => event.value = v,
-                                        Err(_) => continue,
-                                    }
-                                    if tx.send(event).is_err() {
-                                        return;
-                                    }
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-        });
-        rx
     }
 
     /// Project a value down to what this subject may read.

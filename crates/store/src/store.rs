@@ -235,28 +235,6 @@ impl StoreWatch {
     pub fn pending(&self) -> usize {
         self.gate.pending.load(Ordering::Relaxed).max(0) as usize
     }
-
-    /// A cheap, cloneable handle onto this subscription's lag state,
-    /// usable independently of the consuming stream.
-    pub fn probe(&self) -> LagProbe {
-        LagProbe {
-            gate: Arc::clone(&self.gate),
-        }
-    }
-}
-
-/// See [`StoreWatch::probe`].
-#[derive(Clone)]
-pub struct LagProbe {
-    gate: Arc<SubGate>,
-}
-
-impl LagProbe {
-    /// `Some(resume_from)` once the subscriber was cut for lagging.
-    pub fn resume_from(&self) -> Option<Revision> {
-        let cut = self.gate.cut_at.load(Ordering::Acquire);
-        (cut != NOT_CUT).then(|| Revision(cut.saturating_sub(1)))
-    }
 }
 
 impl std::fmt::Debug for StoreWatch {

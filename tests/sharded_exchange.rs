@@ -12,8 +12,11 @@
 //! with `CHAOS_SEED=<seed>` for exact replay (CI runs the same seed
 //! matrix as `chaos_recovery`).
 
+use knactor::net::proto::{Request, Response};
+use knactor::net::{BoxFuture, Exchange, ExchangeServer, Subscription, TcpClient};
 use knactor::net::{FaultPlan, FaultProxy, RetryPolicy, ShardRouter};
 use knactor::prelude::*;
+use knactor::store::ShardMap;
 use serde_json::json;
 use std::net::SocketAddr;
 use std::sync::Arc;
@@ -527,4 +530,137 @@ async fn rebalanced_map_needs_a_new_router_and_mismatch_is_typed() {
         matches!(err, Error::Internal(_)),
         "count mismatch must be a typed error, got {err:?}"
     );
+}
+
+/// A shard client that can be pointed at its node again after the node
+/// was restarted — a bare [`TcpClient`] never reconnects by itself.
+struct Repointable(std::sync::Mutex<Arc<TcpClient>>);
+
+impl Exchange for Repointable {
+    fn call(&self, request: Request) -> BoxFuture<'_, Result<Response>> {
+        let client = Arc::clone(&self.0.lock().expect("no holder panics"));
+        Box::pin(async move { client.call(request).await })
+    }
+
+    fn open(&self, request: Request) -> BoxFuture<'_, Result<Subscription>> {
+        let client = Arc::clone(&self.0.lock().expect("no holder panics"));
+        Box::pin(async move { client.open(request).await })
+    }
+}
+
+/// Regression: a sharded watch used to go deaf on a shard whose stream had
+/// ended. Every shard fed a forwarder task onto one shared channel, so
+/// when one shard's connection died its forwarder left and the merged
+/// stream stayed open on the others — still delivering dense virtual
+/// revisions, silently without the dead shard's events, a gap no consumer
+/// could detect. The merged stream now *ends* with any member, and the
+/// consumer (here a Cast's run loop) re-opens from its cursor: once the
+/// shard is back, its keys are heard again.
+#[tokio::test]
+async fn a_sharded_watch_ends_with_any_shard_and_hears_it_again_after_a_restart() {
+    let subject = || Subject::integrator("deaf");
+    let mut servers = Vec::new();
+    for _ in 0..2 {
+        servers.push(ExchangeServer::bind_ephemeral().await.unwrap());
+    }
+    let connect = |addr: SocketAddr| async move {
+        Arc::new(TcpClient::connect(addr, subject()).await.unwrap())
+    };
+    let restartable = Arc::new(Repointable(std::sync::Mutex::new(
+        connect(servers[1].local_addr()).await,
+    )));
+    let members: Vec<Arc<dyn Exchange>> = vec![
+        connect(servers[0].local_addr()).await,
+        Arc::clone(&restartable) as _,
+    ];
+    let router = Arc::new(ShardRouter::new(ShardMap::uniform(2), members));
+    let api: Arc<dyn ExchangeApi> = Arc::clone(&router) as _;
+    for store in ["a/state", "b/state"] {
+        api.create_store(store.into(), ProfileSpec::Instant)
+            .await
+            .unwrap();
+    }
+    let dxg =
+        "Input:\n  A: deaf/v1/A/a\n  B: deaf/v1/B/b\nDXG:\n  B:\n    shout: upper(A.greeting)\n";
+    let bindings = [
+        ("A".to_string(), CastBinding::correlated("a/state")),
+        ("B".to_string(), CastBinding::correlated("b/state")),
+    ];
+    let cast = Cast::new(Arc::clone(&api))
+        .spawn(CastConfig {
+            name: "deaf".into(),
+            dxg: Dxg::parse(dxg).unwrap(),
+            bindings: bindings.into(),
+            mode: CastMode::Direct,
+            coalesce: 1,
+        })
+        .await
+        .unwrap();
+    let feed = |range: std::ops::Range<u64>| {
+        let api = Arc::clone(&api);
+        async move {
+            for i in range {
+                let greeting = json!({"greeting": format!("msg-{i}")});
+                api.create("a/state".into(), key(i), greeting)
+                    .await
+                    .unwrap();
+            }
+        }
+    };
+    let shouted = |range: std::ops::Range<u64>| {
+        let api = Arc::clone(&api);
+        async move {
+            for i in range {
+                let limit = Duration::from_secs(30);
+                let set = |v: &Value| !v["shout"].is_null();
+                knactor::testkit::await_object_state(&api, "b/state", key(i), limit, set)
+                    .await
+                    .unwrap_or_else(|e| panic!("b/state {} never converged: {e}", key(i)));
+            }
+        }
+    };
+
+    let mut watch = api.watch("a/state".into(), Revision::ZERO).await.unwrap();
+    feed(0..16).await;
+    for _ in 0..16 {
+        watch.recv().await.expect("a merged event");
+    }
+    shouted(0..16).await;
+    let on_restarted: Vec<u64> = (16..48)
+        .filter(|i| router.shard_of_key(&"a/state".into(), &key(*i)) == 1)
+        .collect();
+    assert!(!on_restarted.is_empty());
+
+    // Shard 1's node goes down: the merged stream ends instead of staying
+    // open on shard 0 alone.
+    let down = servers.pop().unwrap();
+    let (addr, object, log) = (
+        down.local_addr(),
+        Arc::clone(&down.object),
+        Arc::clone(&down.log),
+    );
+    down.shutdown().await;
+    let ended = async { while watch.recv().await.is_some() {} };
+    tokio::time::timeout(Duration::from_secs(10), ended)
+        .await
+        .expect("the merged watch stayed open without one of its shards");
+
+    // The node comes back on its address with its state; the router's
+    // client is pointed at it again. What is written from now on — on the
+    // restarted shard too — reaches the Cast, whose run loop re-opened the
+    // merged watch from its cursor.
+    servers.push(
+        ExchangeServer::bind(&addr.to_string(), object, log)
+            .await
+            .unwrap(),
+    );
+    let reconnected = connect(addr).await;
+    *restartable.0.lock().expect("no holder panics") = reconnected;
+    feed(16..48).await;
+    shouted(16..48).await;
+
+    cast.shutdown().await;
+    for server in servers {
+        server.shutdown().await;
+    }
 }
