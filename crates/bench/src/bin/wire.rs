@@ -71,7 +71,6 @@ fn bench_profile(dir: &std::path::Path, store: &str, fsync: bool) -> EngineProfi
         write_delay: Duration::ZERO,
         watch: WatchDelivery::Push,
         history_cap: knactor_store::profile::DEFAULT_HISTORY_CAP,
-        watch_lag_cap: knactor_store::profile::DEFAULT_WATCH_LAG_CAP,
         repl_acks: 0,
     }
 }

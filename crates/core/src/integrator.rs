@@ -863,19 +863,24 @@ mod tests {
         }
     }
 
-    /// The store's lag gate covers in-process consumers too — nothing
-    /// reads ahead on their behalf any more. A reconciler that stalls is
-    /// cut like any slow subscriber, and its loop resumes from its resume
-    /// point: every object is reconciled, none is skipped.
+    /// Nothing reads ahead on an in-process consumer's behalf: a reconciler
+    /// that stalls while its store moves past the retained window falls off
+    /// it like any watch, and its loop re-lists and converges — every
+    /// object is reconciled, none is skipped.
     #[tokio::test]
-    async fn a_loopback_integrator_cut_by_the_lag_gate_resumes_without_a_gap() {
+    async fn a_loopback_integrator_that_falls_off_the_retained_window_relists_and_converges() {
         let (object, _, client) = in_process(Subject::operator("lagging"));
         let profile = knactor_store::EngineProfile {
-            watch_lag_cap: 2,
+            history_cap: 2,
             ..knactor_store::EngineProfile::instant()
         };
         let store = object.create_store("src/state", profile).unwrap();
         let api: Arc<dyn ExchangeApi> = Arc::new(client);
+        let cutoffs = knactor_types::metrics::global().counter(
+            "knactor_store_watch_cutoffs_total",
+            &[("store", "src/state")],
+        );
+        let cutoffs_before = cutoffs.get();
         let (open, gate) = tokio::sync::watch::channel(false);
         let mark_seen = move |ctx: ReconcilerCtx, event: WatchEvent| {
             let mut gate = gate.clone();
@@ -897,19 +902,20 @@ mod tests {
         let deployed = runtime.deploy_pre_externalized(knactor, Arc::clone(&api));
         deployed.await.unwrap();
 
-        // The reconciler sits on the first event; the watch backs up and
-        // the store cuts it.
+        // The reconciler sits on the first event while the store moves ten
+        // commits on, eight past what it retains; when it next pulls, its
+        // cursor is off the window.
         let watching = || async { store.subscriber_count() == 1 };
         eventually("the reconciler's watch", watching).await;
         for i in 0..10 {
             Kind::Reconciler.feed(&*api, i).await;
         }
-        eventually("the stalled watch to be cut", || async {
-            store.subscriber_count() == 0
-        })
-        .await;
         open.send(true).unwrap();
         Kind::Reconciler.await_arrived(&*api, 10).await;
+        assert!(
+            cutoffs.get() > cutoffs_before,
+            "converged without falling off"
+        );
         runtime.shutdown().await;
     }
 }

@@ -16,7 +16,7 @@
 //! | `knactor_store_ops_total` | counter | `store`, `op` |
 //! | `knactor_store_commit_seconds` | histogram | `store` |
 //! | `knactor_store_fanout_depth` | gauge | `store` |
-//! | `knactor_store_outbox_lag` | gauge | `store` |
+//! | `knactor_store_watch_cutoffs_total` | counter | `store` |
 //! | `knactor_wal_appends_total` | counter | — |
 //! | `knactor_wal_recoveries_total` | counter | — |
 //! | `knactor_log_appends_total` | counter | `store` |

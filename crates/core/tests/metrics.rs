@@ -218,7 +218,7 @@ fn prometheus_exposition_golden() {
         &[("op", "create"), ("store", "a/state")],
     )
     .add(2);
-    reg.gauge("knactor_store_outbox_lag", &[("store", "a/state")])
+    reg.gauge("knactor_store_fanout_depth", &[("store", "a/state")])
         .set(3);
     let h = reg.histogram("knactor_store_commit_seconds", &[("store", "a/state")]);
     h.observe(Duration::from_micros(2)); // second bucket (le=2.5µs)
@@ -234,8 +234,8 @@ fn prometheus_exposition_golden() {
     );
     assert!(text.contains("knactor_store_ops_total{op=\"create\",store=\"a/state\"} 2\n"));
     assert!(text.contains("knactor_store_ops_total{op=\"get\",store=\"a/state\"} 7\n"));
-    assert!(text.contains("# TYPE knactor_store_outbox_lag gauge\n"));
-    assert!(text.contains("knactor_store_outbox_lag{store=\"a/state\"} 3\n"));
+    assert!(text.contains("# TYPE knactor_store_fanout_depth gauge\n"));
+    assert!(text.contains("knactor_store_fanout_depth{store=\"a/state\"} 3\n"));
     assert!(text.contains("# TYPE knactor_store_commit_seconds histogram\n"));
     // Cumulative buckets (`le` renders after the series labels): the 2µs
     // observation is inside le=2.5µs (0.0000025); both observations are

@@ -82,11 +82,12 @@ impl Router {
             return;
         };
         match body {
-            // The stream's last words. `WatchLagged`: the store cut this
-            // watch for exceeding its lag cap; an unconsumed backlog is
-            // exactly what got it cut, so there is nothing useful to flush
-            // and the stream simply ends. A resumed stream re-opens from
-            // its own position, which is never past `resume_from`.
+            // The stream's last words. `WatchLagged`: this watch's cursor
+            // fell off the store's retained window; an unconsumed backlog
+            // is exactly what left it behind, so there is nothing useful
+            // to flush and the stream simply ends. A resumed stream
+            // re-opens from its own position, which is never past
+            // `resume_from`, and is re-listed.
             EventBody::WatchLagged { .. } => {
                 knactor_types::metrics::global()
                     .counter("knactor_client_watch_lagged_total", &[("role", "client")])

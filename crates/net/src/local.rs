@@ -22,15 +22,11 @@ use std::path::PathBuf;
 use std::pin::pin;
 use std::sync::Arc;
 use std::task::{Context, Poll};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// How long a `ReplWait` barrier may block before reporting the replica
 /// as behind. Bounded well under client request timeouts.
 const REPL_WAIT_TIMEOUT: Duration = Duration::from_secs(3);
-/// Poll cadence for the `ReplWait` barrier (applies arrive from the
-/// replication task, not this caller, so polling is the simple,
-/// allocation-free wait).
-const REPL_WAIT_POLL: Duration = Duration::from_micros(500);
 
 /// In-process Object + Log exchanges behind the [`Request`] vocabulary.
 #[derive(Clone)]
@@ -258,20 +254,17 @@ impl LocalExchange {
             }
             Request::ReplWait { store, revision } => {
                 // Read-your-writes barrier: block (bounded) until this node's
-                // copy of the store has applied at least `revision`.
-                let deadline = Instant::now() + REPL_WAIT_TIMEOUT;
-                loop {
-                    let current = self.object.store(&store)?.revision();
-                    if current >= revision {
-                        return Ok(Response::Revision { revision: current });
-                    }
-                    if Instant::now() >= deadline {
-                        return Err(Error::Timeout(format!(
-                            "replica at revision {} has not applied {}",
-                            current.0, revision.0
-                        )));
-                    }
-                    tokio::time::sleep(REPL_WAIT_POLL).await;
+                // copy of the store has applied at least `revision`, woken by
+                // the apply itself.
+                let store = self.object.store(&store)?;
+                let applied = store.revision_reached(revision);
+                match tokio::time::timeout(REPL_WAIT_TIMEOUT, applied).await {
+                    Ok(revision) => Ok(Response::Revision { revision }),
+                    Err(_) => Err(Error::Timeout(format!(
+                        "replica at revision {} has not applied {}",
+                        store.revision().0,
+                        revision.0
+                    ))),
                 }
             }
             Request::Metrics => Ok(Response::Metrics {
@@ -309,8 +302,8 @@ impl LocalExchange {
 }
 
 /// A stream opened on a [`LocalExchange`]: the in-process subscription.
-/// The server's push pump and a loopback consumer read the same thing, so
-/// both are bounded by the store's lag gate.
+/// The server's push pump and a loopback consumer read the same thing —
+/// a cursor over what the store retains — so neither buffers events.
 pub enum LocalStream {
     Watch(WatchStream),
     Repl(StoreWatch),
@@ -350,14 +343,14 @@ impl LocalStream {
     pub fn try_recv(&mut self) -> Option<EventBody> {
         match self {
             LocalStream::Watch(s) => s.try_recv().map(object_body),
-            LocalStream::Repl(s) => s.try_recv().ok().map(object_body),
+            LocalStream::Repl(s) => s.try_recv().map(object_body),
             LocalStream::Tail(t) => t.try_recv().map(tail_body),
         }
     }
 
-    /// The body that closes the stream: a lag cutoff carries a typed
-    /// resume point so the client can rewatch gaplessly; an ordinary
-    /// close says so plainly.
+    /// The body that closes the stream: a watch that fell off the store's
+    /// retained window says how far it got, so the client re-lists from
+    /// there; an ordinary close says so plainly.
     pub fn end(&self) -> EventBody {
         let lag = match self {
             LocalStream::Watch(s) => s.lag_resume_from(),

@@ -419,10 +419,11 @@ pub enum EventBody {
         missed: u64,
         resume_from: u64,
     },
-    /// The store cut this watch subscription for exceeding its lag cap
-    /// (the subscriber stopped reading while events kept committing).
-    /// A gapless resume is `Watch { from: resume_from }`, falling back
-    /// to list+rewatch on `watch_too_old`.
+    /// This watch fell off the store's retained window (the subscriber
+    /// stopped reading while events kept committing): `resume_from` is
+    /// the last revision it was sent, and the next one is no longer
+    /// retained — `Watch { from: resume_from }` answers `watch_too_old`,
+    /// and the recovery is list + rewatch.
     WatchLagged {
         resume_from: u64,
     },

@@ -5,8 +5,8 @@
 //! and streams its committed event sequence (the same dense revision
 //! stream the WAL and watch history order) to **followers** over
 //! `ReplSubscribe`. Followers apply the stream through their own
-//! `apply_batch` path — so their stores, revisions, histories, and watch
-//! outboxes are indistinguishable from the leader's — and `ReplAck`
+//! `apply_batch` path — so their stores, revisions and retained watch
+//! windows are indistinguishable from the leader's — and `ReplAck`
 //! their durably-staged high-water mark back. A `Replicated(n)` write
 //! acks to the client only once `n` followers have staged it.
 //!
@@ -415,8 +415,9 @@ async fn replicate_store(
                 return;
             }
         }
-        // Feed ended (lag cut or connection close): resubscribe — the
-        // session loop notices dead connections via its heartbeat.
+        // Feed ended (fell off the leader's window, or connection close):
+        // resubscribe — the session loop notices dead connections via its
+        // heartbeat.
         if client.is_closed() {
             return;
         }

@@ -474,9 +474,10 @@ async fn dispatch(
 /// sends one frame for N events instead of N frames.
 ///
 /// `out.send` parks when the connection's bounded queue is full — this
-/// task stops *reading* the stream, the store-side lag gate fills, and
-/// the store cuts the subscription rather than queueing without bound.
-/// The shared outbox drainer is never blocked either way.
+/// task stops *reading* the stream, which holds no events of its own: the
+/// store's retained window moves on, and a pump parked long enough finds
+/// its cursor off it and ends the subscription with `WatchLagged`. No
+/// queue grows behind a slow connection and no other watcher waits on it.
 async fn pump(mut stream: LocalStream, sub_id: u64, out: mpsc::Sender<ServerMsg>) {
     while let Some(body) = stream.recv().await {
         let mut bytes = approx_body_bytes(&body);

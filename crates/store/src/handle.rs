@@ -8,9 +8,10 @@
 //! 2. the engine profile's latency behaviour (read/write delays; WAL
 //!    commits run on the blocking pool so the async runtime never stalls
 //!    on an fsync), and
-//! 3. the engine's watch-delivery mode — push streams forward events as
-//!    they commit, poll streams release them on a fixed tick, reproducing
-//!    the Kubernetes list-watch cadence of the paper's K-apiserver setup.
+//! 3. the engine's watch-delivery mode — push streams read the store's
+//!    retained window as events commit, poll streams only up to the
+//!    revision their last tick saw (the Kubernetes list-watch cadence of
+//!    the paper's K-apiserver setup); neither holds events of its own.
 
 use crate::batch::{BatchOp, ItemResult};
 use crate::event::WatchEvent;
@@ -20,10 +21,8 @@ use crate::store::ObjectStore;
 use knactor_rbac::{AccessContext, AccessController, Subject, Verb};
 use knactor_types::{Error, ObjectKey, Result, Revision, Value};
 use parking_lot::RwLock;
-use std::collections::VecDeque;
 use std::sync::Arc;
 use std::time::Duration;
-use tokio::sync::mpsc;
 use tokio::time::Instant;
 
 /// Async, access-controlled, latency-faithful client to one store.
@@ -47,12 +46,10 @@ impl std::fmt::Debug for StoreHandle {
 /// A watch subscription. Events arrive in revision order, exactly once,
 /// redacted to what the handle's subject may read.
 ///
-/// The consumer's own `recv` drives delivery — there is no pump task in
-/// between — so every read feeds the store-level lag gate: a consumer that
-/// stops reading is the one that gets cut. When the stream ends,
-/// [`WatchStream::lag_resume_from`] distinguishes "the store cut this
-/// subscriber for lagging" (a typed, gapless resume point) from an
-/// ordinary close.
+/// The consumer's own `recv` drives delivery — no pump task and no queue
+/// in between, only the store's cursor. When the stream ends,
+/// [`WatchStream::lag_resume_from`] tells "this watch fell off the store's
+/// retained window" (re-list and watch again) from an ordinary close.
 pub struct WatchStream {
     src: crate::store::StoreWatch,
     handle: StoreHandle,
@@ -65,16 +62,13 @@ pub struct WatchStream {
 struct Poller {
     interval: Duration,
     next_tick: Instant,
-    /// Events the last tick made visible, not yet read.
-    visible: VecDeque<WatchEvent>,
-    /// The source ended; `visible` is all that is left.
-    ended: bool,
+    /// The store revision the last tick saw: events up to it are visible.
+    horizon: Revision,
 }
 
 impl WatchStream {
-    /// Next event, or `None` when the subscription ended (store shut
-    /// down, or this subscriber was cut for lagging — see
-    /// [`WatchStream::lag_resume_from`]).
+    /// Next event, or `None` when the subscription ended (this watch fell
+    /// off the retained window — see [`WatchStream::lag_resume_from`]).
     pub async fn recv(&mut self) -> Option<WatchEvent> {
         loop {
             if let Some(event) = self.try_recv() {
@@ -87,7 +81,7 @@ impl WatchStream {
                         return Some(event);
                     }
                 }
-                Some(poller) if poller.ended => return None,
+                Some(_) if self.lag_resume_from().is_some() => return None,
                 Some(poller) => tokio::time::sleep_until(poller.next_tick).await,
             }
         }
@@ -96,27 +90,18 @@ impl WatchStream {
     /// An event that is already visible, without waiting.
     pub fn try_recv(&mut self) -> Option<WatchEvent> {
         loop {
-            let event = match &mut self.poll {
-                None => self.src.try_recv().ok()?,
-                Some(poller) => {
-                    if poller.visible.is_empty() && Instant::now() >= poller.next_tick {
-                        // Re-anchor on the actual tick so ticks never bunch
-                        // up behind a consumer that was busy.
-                        poller.next_tick = Instant::now() + poller.interval;
-                        loop {
-                            match self.src.try_recv() {
-                                Ok(event) => poller.visible.push_back(event),
-                                Err(mpsc::error::TryRecvError::Empty) => break,
-                                Err(mpsc::error::TryRecvError::Disconnected) => {
-                                    poller.ended = true;
-                                    break;
-                                }
-                            }
-                        }
-                    }
-                    poller.visible.pop_front()?
+            if let Some(poller) = &mut self.poll {
+                if self.src.cursor() >= poller.horizon && Instant::now() >= poller.next_tick {
+                    // Re-anchor on the actual tick so ticks never bunch
+                    // up behind a consumer that was busy.
+                    poller.next_tick = Instant::now() + poller.interval;
+                    poller.horizon = self.handle.store.revision();
                 }
-            };
+                if self.src.cursor() >= poller.horizon {
+                    return None;
+                }
+            }
+            let event = self.src.try_recv()?;
             if let Some(event) = self.admit(event) {
                 return Some(event);
             }
@@ -130,9 +115,8 @@ impl WatchStream {
         Some(event)
     }
 
-    /// `Some(resume_from)` once the store cut this subscriber for
-    /// exceeding its lag cap; resume with `watch_from(resume_from)`
-    /// (falling back to list+rewatch on `WatchTooOld`).
+    /// `Some(cursor)` once this watch fell off the store's retained
+    /// window (see [`crate::store::StoreWatch::lag_resume_from`]).
     pub fn lag_resume_from(&self) -> Option<Revision> {
         self.src.lag_resume_from()
     }
@@ -335,8 +319,7 @@ impl StoreHandle {
             WatchDelivery::Poll { interval } => Some(Poller {
                 interval,
                 next_tick: Instant::now() + interval,
-                visible: VecDeque::new(),
-                ended: false,
+                horizon: from,
             }),
         };
         Ok(WatchStream {

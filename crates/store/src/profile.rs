@@ -48,15 +48,12 @@ pub struct EngineProfile {
     pub write_delay: Duration,
     /// Watch delivery behaviour.
     pub watch: WatchDelivery,
-    /// How many committed events the store retains for watch replay.
-    /// Watches resuming from before this window get
+    /// How many committed events the store retains: the window every
+    /// watch reads from, and so both the replay depth and the furthest a
+    /// watcher may fall behind. A watch whose next revision has left it —
+    /// at open or while reading — gets
     /// [`knactor_types::Error::WatchTooOld`] and must re-list.
     pub history_cap: usize,
-    /// Per-subscriber watch backlog bound: a subscriber whose unread
-    /// event queue reaches this depth is cut from the fan-out with a
-    /// typed resume point instead of queueing without bound (and
-    /// without ever blocking the shared outbox drainer).
-    pub watch_lag_cap: usize,
     /// Replication ack quorum: how many followers must durably stage a
     /// commit before it is acknowledged (`Durability::Replicated(n)`).
     /// `0` disables the quorum wait (single-node operation). Only
@@ -65,14 +62,9 @@ pub struct EngineProfile {
     pub repl_acks: usize,
 }
 
-/// Default watch-replay window, sized so short reconnect gaps replay
-/// cheaply while a hot store's memory stays bounded.
+/// Default retained window, sized so short reconnect gaps and slow
+/// readers replay cheaply while a hot store's memory stays bounded.
 pub const DEFAULT_HISTORY_CAP: usize = 8192;
-
-/// Default per-subscriber lag bound. Matches the history window: a
-/// subscriber cut at this depth can always resume through history
-/// replay, so the cutoff is recoverable rather than lossy.
-pub const DEFAULT_WATCH_LAG_CAP: usize = DEFAULT_HISTORY_CAP;
 
 impl EngineProfile {
     /// The Kubernetes-apiserver-like engine: durable, deliberate.
@@ -81,20 +73,14 @@ impl EngineProfile {
     /// millisecond-scale op delays reproduce the *relative* cost the
     /// paper measured for K-apiserver, on top of the very real fsync.
     pub fn apiserver(dir: impl Into<PathBuf>, store_name: &str) -> EngineProfile {
-        let mut wal = dir.into();
-        wal.push(format!("{}.wal", store_name.replace('/', "_")));
         EngineProfile {
             name: "apiserver".to_string(),
-            wal_path: Some(wal),
-            fsync: true,
             read_delay: Duration::from_micros(1500),
             write_delay: Duration::from_micros(2500),
             watch: WatchDelivery::Poll {
                 interval: Duration::from_millis(10),
             },
-            history_cap: DEFAULT_HISTORY_CAP,
-            watch_lag_cap: DEFAULT_WATCH_LAG_CAP,
-            repl_acks: 0,
+            ..EngineProfile::durable(dir, store_name)
         }
     }
 
@@ -110,12 +96,7 @@ impl EngineProfile {
             name: "durable".to_string(),
             wal_path: Some(wal),
             fsync: true,
-            read_delay: Duration::ZERO,
-            write_delay: Duration::ZERO,
-            watch: WatchDelivery::Push,
-            history_cap: DEFAULT_HISTORY_CAP,
-            watch_lag_cap: DEFAULT_WATCH_LAG_CAP,
-            repl_acks: 0,
+            ..EngineProfile::instant()
         }
     }
 
@@ -127,14 +108,9 @@ impl EngineProfile {
     pub fn redis() -> EngineProfile {
         EngineProfile {
             name: "redis".to_string(),
-            wal_path: None,
-            fsync: false,
             read_delay: Duration::from_micros(250),
             write_delay: Duration::from_micros(300),
-            watch: WatchDelivery::Push,
-            history_cap: DEFAULT_HISTORY_CAP,
-            watch_lag_cap: DEFAULT_WATCH_LAG_CAP,
-            repl_acks: 0,
+            ..EngineProfile::instant()
         }
     }
 
@@ -148,7 +124,6 @@ impl EngineProfile {
             write_delay: Duration::ZERO,
             watch: WatchDelivery::Push,
             history_cap: DEFAULT_HISTORY_CAP,
-            watch_lag_cap: DEFAULT_WATCH_LAG_CAP,
             repl_acks: 0,
         }
     }

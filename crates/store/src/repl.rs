@@ -1,10 +1,12 @@
 //! Leader/follower replication primitives for the Object-DE.
 //!
 //! Replication ships the leader's committed event stream — the same
-//! dense, per-commit [`WatchEvent`] sequence the WAL and watch history
-//! already order — to followers, which apply it through their own
-//! `apply_batch` path so revisions, history, and watch outboxes stay
-//! byte-identical to the leader's.
+//! dense, per-commit [`WatchEvent`] sequence the WAL and the retained
+//! watch window already order — to followers, which apply it through
+//! their own `apply_batch` path so revisions and the window stay
+//! byte-identical to the leader's. The leader-side feed is an ordinary
+//! [`crate::store::StoreWatch`]: a follower that falls off the window is
+//! told so, it is never queued for.
 //!
 //! The protocol surface here is deliberately transport-free so it can be
 //! property-tested in isolation (`crates/store/tests/prop_repl.rs`):

@@ -2,9 +2,11 @@
 //!
 //! Everything observable about a store is ordered by its single revision
 //! counter: each committed mutation bumps the revision by exactly one,
-//! appends one event to the watch history, and (for durable engines)
-//! appends one WAL record. Watchers resume from any revision still in the
-//! history window and receive every later event exactly once, in order.
+//! appends one event to the retained window, and (for durable engines)
+//! appends one WAL record. A watch is a cursor over that window — the
+//! only copy of recent events the store keeps: it starts at any revision
+//! still retained and reads every later event exactly once, in order, for
+//! as long as its next revision stays retained.
 //!
 //! # Concurrency
 //!
@@ -15,14 +17,14 @@
 //!
 //! 1. its key's **shard** write lock (existence/OCC/schema checks, then
 //!    the map mutation),
-//! 2. the **commit** lock (revision allocation, WAL append, history), and
-//! 3. the **fanout** lock just long enough to enqueue the event.
+//! 2. the **commit** lock (revision allocation, WAL append), and
+//! 3. the **window** write lock just long enough to append the event.
 //!
-//! Subscriber sends happen *outside* all three locks: committed events
-//! land in an outbox and a single drainer (elected by CAS) delivers them
-//! in revision order. Object values are `Arc<Value>` throughout, so
-//! reads, history retention, and fan-out are refcount bumps, never deep
-//! copies of the JSON tree.
+//! Watchers take only the window's read lock, never the commit lock, and
+//! are woken *outside* all three: one "latest revision" signal per single
+//! op or batch, sent after the locks are gone. Object values are
+//! `Arc<Value>` throughout, so reads, retention, and delivery to N
+//! watchers are refcount bumps, never deep copies of the JSON tree.
 
 use crate::batch::{BatchOp, ItemResult};
 use crate::event::{EventKind, WatchEvent};
@@ -35,10 +37,10 @@ use knactor_types::{value, Error, ObjectKey, Result, Revision, Schema, StoreId, 
 use parking_lot::{Mutex, RwLock};
 use std::collections::{BTreeMap, VecDeque};
 use std::hash::{Hash, Hasher};
-use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
-use tokio::sync::mpsc;
+use tokio::sync::watch;
 
 /// Number of hash-partitioned object shards. A power of two so the shard
 /// index is a mask; sized for "more shards than cores that plausibly
@@ -67,9 +69,6 @@ enum Durability {
     Replicated(usize),
 }
 
-/// A staged-but-unacknowledged WAL write: wait on it before acking.
-type PendingDurability = Option<(Arc<Wal>, u64)>;
-
 /// A single data store: versioned objects + watch machinery.
 ///
 /// The core is synchronous and engine-agnostic; durability comes from an
@@ -84,10 +83,14 @@ pub struct ObjectStore {
     /// commit section; reads are lock-free.
     revision: AtomicU64,
     shards: Vec<Shard>,
-    commit: Mutex<CommitState>,
-    fanout: Mutex<Fanout>,
-    /// Set while one thread is draining the fan-out outbox.
-    draining: AtomicBool,
+    /// Serialization point for commits: revision allocation, the WAL stage
+    /// and the window append happen under it.
+    commit: Mutex<()>,
+    wal: Option<Arc<Wal>>,
+    window: Arc<Window>,
+    /// The one wake: the latest committed revision, sent once per single
+    /// op or batch with no store lock held.
+    commit_watch: watch::Sender<u64>,
     /// Leader-side replication ack table, attached by the node runtime
     /// when the store participates in a replica set.
     repl: Mutex<Option<Arc<ReplState>>>,
@@ -105,12 +108,6 @@ struct StoreMetrics {
     op_patch: Arc<Counter>,
     op_delete: Arc<Counter>,
     commit_seconds: Arc<Histogram>,
-    /// Live subscriber count, as observed at each fan-out delivery.
-    fanout_depth: Arc<Gauge>,
-    /// Committed-but-undelivered events still queued in the outbox.
-    outbox_lag: Arc<Gauge>,
-    /// Subscribers cut loose for exceeding their per-subscriber lag cap.
-    watch_cutoffs: Arc<Counter>,
 }
 
 impl StoreMetrics {
@@ -131,117 +128,121 @@ impl StoreMetrics {
             op_patch: op("patch"),
             op_delete: op("delete"),
             commit_seconds: reg.histogram("knactor_store_commit_seconds", &[("store", &store)]),
-            fanout_depth: reg.gauge("knactor_store_fanout_depth", &[("store", &store)]),
-            outbox_lag: reg.gauge("knactor_store_outbox_lag", &[("store", &store)]),
-            watch_cutoffs: reg.counter("knactor_store_watch_cutoffs_total", &[("store", &store)]),
         }
     }
 }
 
-/// Serialization point for commits: WAL + bounded watch history.
-struct CommitState {
-    history: VecDeque<WatchEvent>,
-    history_cap: usize,
-    wal: Option<Arc<Wal>>,
+/// The retained window: the store's one copy of recent events, appended
+/// to by the committer and read by every [`StoreWatch`].
+struct Window {
+    ring: RwLock<Ring>,
+    /// Live watches on this window (`knactor_store_fanout_depth`).
+    live: Arc<Gauge>,
+    /// Watches that fell off the window (`knactor_store_watch_cutoffs_total`).
+    cutoffs: Arc<Counter>,
 }
 
-/// Committed-but-undelivered events plus the live subscriber set.
-struct Fanout {
-    outbox: VecDeque<WatchEvent>,
-    subscribers: Vec<Subscriber>,
+/// The last `cap` committed events, dense in revision.
+struct Ring {
+    events: VecDeque<WatchEvent>,
+    cap: usize,
+    /// Revision of the newest event ever appended (a reopened store's
+    /// recovered revision; its ring starts empty).
+    head: Revision,
 }
 
-#[derive(Clone)]
-struct Subscriber {
-    tx: mpsc::UnboundedSender<WatchEvent>,
-    /// Store revision when the watch registered. Events at or before this
-    /// were already replayed from history, so the drainer skips them even
-    /// if they are still sitting in the outbox.
-    joined_at: Revision,
-    /// Lag accounting shared with the subscriber's [`StoreWatch`].
-    gate: Arc<SubGate>,
-}
-
-/// Sentinel for "this subscriber has not been cut".
-const NOT_CUT: u64 = u64::MAX;
-
-/// Per-subscriber backpressure state, shared between the drainer (which
-/// counts deliveries) and the consuming [`StoreWatch`] (which counts
-/// reads). The channel itself stays unbounded so the drainer never
-/// blocks; the gate is what bounds it.
-struct SubGate {
-    /// Events queued in the subscriber's channel, not yet consumed.
-    pending: AtomicI64,
-    /// First revision *not* delivered when the drainer cut this
-    /// subscriber for exceeding its lag cap; [`NOT_CUT`] while healthy.
-    cut_at: AtomicU64,
-}
-
-impl SubGate {
-    fn new() -> Arc<SubGate> {
-        Arc::new(SubGate {
-            pending: AtomicI64::new(0),
-            cut_at: AtomicU64::new(NOT_CUT),
-        })
+impl Ring {
+    /// The oldest revision still retained; `head + 1` when nothing is.
+    fn oldest(&self) -> Revision {
+        Revision(self.head.0 + 1 - self.events.len() as u64)
     }
 
-    fn is_cut(&self) -> bool {
-        self.cut_at.load(Ordering::Acquire) != NOT_CUT
+    fn push(&mut self, event: WatchEvent) {
+        self.head = event.revision;
+        self.events.push_back(event);
+        while self.events.len() > self.cap {
+            self.events.pop_front();
+        }
     }
 }
 
-/// A live watch subscription: an in-order event stream plus the lag
-/// bookkeeping that lets the store cut this subscriber loose — instead
-/// of queueing without bound — if it stops reading.
+/// A live watch: a cursor over the store's retained window. It holds no
+/// events of its own, so a watch that is never read costs the store
+/// nothing, and a slow one is never ended while its next revision is
+/// still retained.
 ///
-/// When the stream ends (`recv` returns `None`), check
-/// [`StoreWatch::lag_resume_from`]: `Some(rev)` means the store cut the
-/// subscription for lagging and a gapless resume is
-/// `watch_from(rev)` (falling back to list+rewatch on
-/// [`Error::WatchTooOld`]); `None` means an ordinary close.
+/// When `recv` returns `None`, [`StoreWatch::lag_resume_from`] says why:
+/// `Some(rev)` — the cursor fell off the window after delivering `rev`, so
+/// `watch_from(rev)` is [`Error::WatchTooOld`] and the recovery is
+/// [`ObjectStore::list`] plus a watch from the listing's revision;
+/// `None` — the store itself is gone.
 pub struct StoreWatch {
-    rx: mpsc::UnboundedReceiver<WatchEvent>,
-    gate: Arc<SubGate>,
+    window: Arc<Window>,
+    wake: watch::Receiver<u64>,
+    /// Revision of the last event handed out; the next is `cursor + 1`.
+    cursor: Revision,
+    /// `cursor + 1` was found to have left the window: the stream is over.
+    lagged: bool,
 }
 
 impl StoreWatch {
     /// Receive the next event, or `None` once the subscription ended.
     pub async fn recv(&mut self) -> Option<WatchEvent> {
-        let event = self.rx.recv().await;
-        if event.is_some() {
-            self.gate.pending.fetch_sub(1, Ordering::Relaxed);
+        loop {
+            if let Some(event) = self.try_recv() {
+                return Some(event);
+            }
+            if self.lagged {
+                return None;
+            }
+            // `changed` compares against the version seen before the ring
+            // was read: a commit landing in between completes this wait.
+            self.wake.changed().await.ok()?;
         }
-        event
     }
 
-    pub fn try_recv(&mut self) -> Result<WatchEvent, mpsc::error::TryRecvError> {
-        let event = self.rx.try_recv();
-        if event.is_ok() {
-            self.gate.pending.fetch_sub(1, Ordering::Relaxed);
+    /// The next event if it is already committed, without waiting.
+    pub fn try_recv(&mut self) -> Option<WatchEvent> {
+        if self.lagged {
+            return None;
         }
-        event
+        let next = self.cursor.next();
+        let ring = self.window.ring.read();
+        if next > ring.head {
+            return None;
+        }
+        let Some(index) = next.0.checked_sub(ring.oldest().0) else {
+            self.lagged = true;
+            self.window.cutoffs.inc();
+            return None;
+        };
+        self.cursor = next;
+        Some(ring.events[index as usize].clone())
     }
 
-    /// `Some(resume_from)` once the store has cut this subscriber for
-    /// exceeding its lag cap. Events already queued are still readable;
-    /// after draining them, `watch_from(resume_from)` continues without
-    /// gaps (the first missed revision is `resume_from + 1`).
+    /// Revision of the last event this watch handed out.
+    pub fn cursor(&self) -> Revision {
+        self.cursor
+    }
+
+    /// `Some(cursor)` once this watch has fallen off the retained window
+    /// (the first missed revision is `cursor + 1`).
     pub fn lag_resume_from(&self) -> Option<Revision> {
-        let cut = self.gate.cut_at.load(Ordering::Acquire);
-        (cut != NOT_CUT).then(|| Revision(cut.saturating_sub(1)))
+        self.lagged.then_some(self.cursor)
     }
+}
 
-    /// Events delivered but not yet read (diagnostics).
-    pub fn pending(&self) -> usize {
-        self.gate.pending.load(Ordering::Relaxed).max(0) as usize
+impl Drop for StoreWatch {
+    fn drop(&mut self) {
+        self.window.live.sub(1);
     }
 }
 
 impl std::fmt::Debug for StoreWatch {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("StoreWatch")
-            .field("pending", &self.pending())
-            .field("cut", &self.gate.is_cut())
+            .field("cursor", &self.cursor)
+            .field("lagged", &self.lagged)
             .finish()
     }
 }
@@ -283,20 +284,25 @@ impl ObjectStore {
             wal = Some(Arc::new(recovered_wal));
         }
         let store_metrics = StoreMetrics::for_store(&id);
+        let reg = metrics::global();
+        let label = [("store", id.as_str())];
+        let window = Arc::new(Window {
+            ring: RwLock::new(Ring {
+                events: VecDeque::new(),
+                cap: profile.history_cap,
+                head: revision,
+            }),
+            live: reg.gauge("knactor_store_fanout_depth", &label),
+            cutoffs: reg.counter("knactor_store_watch_cutoffs_total", &label),
+        });
         Ok(ObjectStore {
             id,
             revision: AtomicU64::new(revision.0),
             shards,
-            commit: Mutex::new(CommitState {
-                history: VecDeque::new(),
-                history_cap: profile.history_cap,
-                wal,
-            }),
-            fanout: Mutex::new(Fanout {
-                outbox: VecDeque::new(),
-                subscribers: Vec::new(),
-            }),
-            draining: AtomicBool::new(false),
+            commit: Mutex::new(()),
+            wal,
+            window,
+            commit_watch: watch::channel(revision.0).0,
             repl: Mutex::new(None),
             schema: Mutex::new(None),
             policy: Mutex::new(RetentionPolicy::Forever),
@@ -366,13 +372,9 @@ impl ObjectStore {
     /// its WAL). Returns `false` for purely in-memory profiles, which
     /// have no WAL to crash.
     pub fn arm_crash(&self, point: crate::wal::CrashPoint, after: u64) -> bool {
-        match &self.commit.lock().wal {
-            Some(wal) => {
-                wal.arm_crash(point, after);
-                true
-            }
-            None => false,
-        }
+        let Some(wal) = &self.wal else { return false };
+        wal.arm_crash(point, after);
+        true
     }
 
     pub fn len(&self) -> usize {
@@ -574,7 +576,9 @@ impl ObjectStore {
     /// records, one fsync. A durability failure fails the entire call,
     /// because none of the staged items can honestly be acknowledged.
     pub fn apply_batch(&self, ops: Vec<BatchOp>) -> Result<Vec<ItemResult>> {
+        let before = self.revision();
         let mut results = Vec::with_capacity(ops.len());
+        let (mut last, mut fatal) = (None, None);
         for op in ops {
             let attempt = match op {
                 BatchOp::Create { key, value } => {
@@ -591,16 +595,29 @@ impl ObjectStore {
                 BatchOp::Delete { key } => self.delete_impl(Durability::Staged, &key),
             };
             match attempt {
-                Ok(revision) => results.push(ItemResult::Revision { revision }),
+                Ok(revision) => {
+                    last = last.max(Some(revision));
+                    results.push(ItemResult::Revision { revision });
+                }
                 // A dead WAL (injected crash, I/O failure) is batch-fatal:
                 // staged items can no longer be fsynced, so nothing here
-                // can be acked item-by-item.
-                Err(e @ Error::Internal(_)) => return Err(e),
+                // can be acked item-by-item (what was staged is visible).
+                Err(e @ Error::Internal(_)) => {
+                    fatal = Some(e);
+                    break;
+                }
                 Err(e) => results.push(ItemResult::from_error(&e)),
             }
         }
-        self.drain_fanout();
-        if let Some(wal) = self.commit.lock().wal.clone() {
+        // One wake per batch, none for a batch that committed nothing: an
+        // integrator re-deriving unchanged state must not wake every watcher.
+        if self.revision() > before {
+            self.announce();
+        }
+        if let Some(e) = fatal {
+            return Err(e);
+        }
+        if let Some(wal) = &self.wal {
             wal.durable_barrier()?;
         }
         // Batch-wide replication quorum: one wait at the batch's last
@@ -609,27 +626,16 @@ impl ObjectStore {
         // when nothing committed, and a no-op on passive (follower)
         // stores — which is what lets the replication apply path itself
         // run through here without waiting on its own quorum.
-        if self.profile.repl_acks > 0 {
-            if let Some(repl) = self.repl() {
-                let last = results
-                    .iter()
-                    .filter_map(|r| match r {
-                        ItemResult::Revision { revision } => Some(revision.0),
-                        _ => None,
-                    })
-                    .max();
-                if let Some(rev) = last {
-                    repl.wait_quorum(Revision(rev), self.profile.repl_acks, REPL_ACK_TIMEOUT)?;
-                }
-            }
+        if let (Some(rev), acks @ 1.., Some(repl)) = (last, self.profile.repl_acks, self.repl()) {
+            repl.wait_quorum(rev, acks, REPL_ACK_TIMEOUT)?;
         }
         Ok(results)
     }
 
     /// Commit one mutation for `key`: allocate the next revision, append
     /// to the WAL (the durability point — a WAL failure aborts the commit
-    /// before anything became visible), record watch history, and enqueue
-    /// the event for fan-out.
+    /// before anything became visible), and append the event to the
+    /// retained window, where every watch reads it.
     ///
     /// The caller holds the key's shard write lock, which is what makes
     /// "validate, commit, mutate" atomic against readers and other
@@ -639,16 +645,16 @@ impl ObjectStore {
     /// lock is released, so concurrent committers (any shard) and batch
     /// items share group fsyncs instead of serializing them under the
     /// commit mutex. A stage failure still aborts before anything became
-    /// visible; the returned [`PendingDurability`] ticket is what turns
-    /// visibility into an acknowledgement.
+    /// visible; the returned WAL ticket (`None` without a WAL) is what
+    /// turns visibility into an acknowledgement.
     fn commit_locked(
         &self,
         kind: EventKind,
         key: &ObjectKey,
         value: &Arc<Value>,
-    ) -> Result<(Revision, PendingDurability)> {
+    ) -> Result<(Revision, Option<u64>)> {
         let commit_start = Instant::now();
-        let mut commit = self.commit.lock();
+        let _commit = self.commit.lock();
         let rev = Revision(self.revision.load(Ordering::Relaxed) + 1);
         let event = WatchEvent {
             revision: rev,
@@ -656,25 +662,14 @@ impl ObjectStore {
             key: key.clone(),
             value: Arc::clone(value),
         };
-        let pending = match &commit.wal {
-            Some(wal) => Some((Arc::clone(wal), wal.stage(&event)?)),
-            None => None,
-        };
+        let pending = self.wal.as_ref().map(|wal| wal.stage(&event)).transpose()?;
         self.revision.store(rev.0, Ordering::Release);
-        commit.history.push_back(event.clone());
-        while commit.history.len() > commit.history_cap {
-            commit.history.pop_front();
-        }
-        {
-            let mut fanout = self.fanout.lock();
-            fanout.outbox.push_back(event);
-            self.metrics.outbox_lag.set(fanout.outbox.len() as i64);
-        }
+        self.window.ring.write().push(event);
         self.metrics.commit_seconds.observe(commit_start.elapsed());
         Ok((rev, pending))
     }
 
-    /// Complete a commit after its shard lock is gone: deliver fan-out
+    /// Complete a commit after its shard lock is gone: wake the watchers
     /// and, for `Acked` mode, block until the commit's WAL group fsync
     /// lands. `Staged` mode defers both to the batch caller.
     /// `Replicated(n)` additionally holds the ack until `n` followers
@@ -684,17 +679,12 @@ impl ObjectStore {
     /// the record is applied-but-unacknowledged — exactly the contract a
     /// crash between write and ack already imposes on clients (OCC
     /// read-back disambiguation on retry).
-    fn finish_commit(
-        &self,
-        mode: Durability,
-        rev: Revision,
-        pending: PendingDurability,
-    ) -> Result<()> {
+    fn finish_commit(&self, mode: Durability, rev: Revision, pending: Option<u64>) -> Result<()> {
         if mode == Durability::Staged {
             return Ok(());
         }
-        self.drain_fanout();
-        if let Some((wal, ticket)) = pending {
+        self.announce();
+        if let (Some(wal), Some(ticket)) = (&self.wal, pending) {
             wal.wait_durable(ticket)?;
         }
         if let Durability::Replicated(n) = mode {
@@ -705,113 +695,51 @@ impl ObjectStore {
         Ok(())
     }
 
-    /// Deliver queued events to subscribers, outside every store lock.
-    ///
-    /// A single drainer at a time (CAS-elected) keeps delivery in
-    /// revision order; after standing down it re-checks the outbox so an
-    /// event enqueued during the hand-off window is never stranded.
-    fn drain_fanout(&self) {
-        let lag_cap = self.profile.watch_lag_cap as i64;
+    /// Wake every blocked watcher and [`ObjectStore::revision_reached`]
+    /// waiter. Called with no store lock held.
+    fn announce(&self) {
+        let _ = self.commit_watch.send(self.revision().0);
+    }
+
+    /// Wait until the store has committed (on a follower: applied) at least
+    /// `rev`; returns the revision that satisfied it.
+    pub async fn revision_reached(&self, rev: Revision) -> Revision {
+        let mut wake = self.commit_watch.subscribe();
         loop {
-            if self
-                .draining
-                .compare_exchange(false, true, Ordering::Acquire, Ordering::Relaxed)
-                .is_err()
-            {
-                // Another thread is draining; it will pick our event up.
-                return;
+            let current = self.revision();
+            if current >= rev {
+                return current;
             }
-            loop {
-                let (event, subscribers) = {
-                    let mut fanout = self.fanout.lock();
-                    // Drop closed and lag-cut subscribers eagerly: the cut
-                    // mark was set on the shared gate below, so removing
-                    // the fanout-side sender here is what ends the
-                    // consumer's stream (after it drains what's queued).
-                    fanout
-                        .subscribers
-                        .retain(|s| !s.tx.is_closed() && !s.gate.is_cut());
-                    self.metrics
-                        .fanout_depth
-                        .set(fanout.subscribers.len() as i64);
-                    match fanout.outbox.pop_front() {
-                        Some(event) => {
-                            self.metrics.outbox_lag.set(fanout.outbox.len() as i64);
-                            (event, fanout.subscribers.clone())
-                        }
-                        None => break,
-                    }
-                };
-                for sub in &subscribers {
-                    // Events up to `joined_at` were replayed from history
-                    // at registration time.
-                    if event.revision <= sub.joined_at {
-                        continue;
-                    }
-                    // Per-subscriber bounded lag: a subscriber that has
-                    // stopped reading gets cut (typed resume point),
-                    // never queued-to without bound — and never blocks
-                    // this drainer or its healthy neighbours.
-                    if sub.gate.pending.load(Ordering::Relaxed) >= lag_cap {
-                        sub.gate.cut_at.store(event.revision.0, Ordering::Release);
-                        self.metrics.watch_cutoffs.inc();
-                        continue;
-                    }
-                    sub.gate.pending.fetch_add(1, Ordering::Relaxed);
-                    let _ = sub.tx.send(event.clone());
-                }
-            }
-            self.draining.store(false, Ordering::Release);
-            if self.fanout.lock().outbox.is_empty() {
-                return;
-            }
-            // A pusher enqueued after we emptied the outbox but lost the
-            // CAS before we stood down — take another turn.
+            // The sender is `self`, so this cannot report it dropped.
+            let _ = wake.changed().await;
         }
     }
 
-    /// Subscribe to committed events with revision **greater than**
-    /// `from`. Events still in the history window are replayed first; the
-    /// stream then continues live, in revision order, without gaps or
-    /// duplicates.
+    /// Watch committed events with revision **greater than** `from`, in
+    /// revision order without gaps or duplicates: first what the window
+    /// already retains, then each commit as it lands.
     ///
-    /// Fails with [`Error::WatchTooOld`] if `from` predates the bounded
-    /// history window (the caller must [`ObjectStore::list`] and watch
-    /// from the listing's revision).
+    /// Fails with [`Error::WatchTooOld`] if `from + 1` has already left
+    /// the window (the caller must [`ObjectStore::list`] and watch from
+    /// the listing's revision).
     pub fn watch_from(&self, from: Revision) -> Result<StoreWatch> {
-        // Commit lock freezes the revision and history; fanout lock makes
-        // "replay + register" atomic against the drainer.
-        let commit = self.commit.lock();
-        let mut fanout = self.fanout.lock();
-        let revision = self.revision();
-        if let Some(oldest) = commit.history.front().map(|e| e.revision) {
-            if from.next() < oldest {
-                return Err(Error::WatchTooOld {
-                    from: from.0,
-                    oldest: oldest.0,
-                });
-            }
-        } else if from < revision {
+        // Subscribed before the ring is first read: no commit can fall
+        // between "not in the ring yet" and "waiting for the wake".
+        let wake = self.commit_watch.subscribe();
+        let oldest = self.window.ring.read().oldest();
+        if from.next() < oldest {
             return Err(Error::WatchTooOld {
                 from: from.0,
-                oldest: revision.0,
+                oldest: oldest.0,
             });
         }
-        let (tx, rx) = mpsc::unbounded_channel();
-        let gate = SubGate::new();
-        for event in commit.history.iter().filter(|e| e.revision > from) {
-            // Replayed events count toward the lag cap too: the gate
-            // bounds the whole unread backlog, not just live deliveries.
-            gate.pending.fetch_add(1, Ordering::Relaxed);
-            // Receiver can't be dropped yet; ignore errors defensively.
-            let _ = tx.send(event.clone());
-        }
-        fanout.subscribers.push(Subscriber {
-            tx,
-            joined_at: revision,
-            gate: Arc::clone(&gate),
-        });
-        Ok(StoreWatch { rx, gate })
+        self.window.live.add(1);
+        Ok(StoreWatch {
+            window: Arc::clone(&self.window),
+            wake,
+            cursor: from,
+            lagged: false,
+        })
     }
 
     /// Convenience: watch everything from the beginning of history.
@@ -852,54 +780,32 @@ impl ObjectStore {
     /// Run the retention policy, deleting collectable objects. Emits
     /// normal `Deleted` events so watchers observe GC.
     pub fn gc(&self) -> Result<Vec<ObjectKey>> {
-        let policy = *self.policy.lock();
-        let victims: Vec<ObjectKey> = match policy {
-            RetentionPolicy::Forever => Vec::new(),
-            RetentionPolicy::RefCounted => self
-                .shards
-                .iter()
-                .flat_map(|s| {
-                    s.read()
-                        .values()
-                        .filter(|o| o.fully_consumed())
-                        .map(|o| o.key.clone())
-                        .collect::<Vec<_>>()
-                })
-                .collect(),
-            RetentionPolicy::Archive { keep } => {
-                let mut consumed: Vec<(Revision, ObjectKey)> = self
-                    .shards
-                    .iter()
-                    .flat_map(|s| {
-                        s.read()
-                            .values()
-                            .filter(|o| o.fully_consumed())
-                            .map(|o| (o.created_revision, o.key.clone()))
-                            .collect::<Vec<_>>()
-                    })
-                    .collect();
-                consumed.sort();
-                let excess = consumed.len().saturating_sub(keep);
-                consumed
-                    .into_iter()
-                    .take(excess)
-                    .map(|(_, key)| key)
-                    .collect()
-            }
+        // Every fully consumed object is collectable; `Archive` spares the
+        // `keep` newest of them.
+        let spared = match *self.policy.lock() {
+            RetentionPolicy::Forever => return Ok(Vec::new()),
+            RetentionPolicy::RefCounted => 0,
+            RetentionPolicy::Archive { keep } => keep,
         };
+        let mut consumed: Vec<(Revision, ObjectKey)> = Vec::new();
+        for shard in &self.shards {
+            let shard = shard.read();
+            let done = shard.values().filter(|o| o.fully_consumed());
+            consumed.extend(done.map(|o| (o.created_revision, o.key.clone())));
+        }
+        consumed.sort();
+        consumed.truncate(consumed.len().saturating_sub(spared));
+        let victims: Vec<ObjectKey> = consumed.into_iter().map(|(_, key)| key).collect();
         for key in &victims {
             self.delete(key)?;
         }
         Ok(victims)
     }
 
-    /// Number of live watch subscribers (diagnostics).
+    /// Number of live watches (diagnostics): every [`StoreWatch`] holds
+    /// the window, the store holds it once.
     pub fn subscriber_count(&self) -> usize {
-        let mut fanout = self.fanout.lock();
-        fanout
-            .subscribers
-            .retain(|s| !s.tx.is_closed() && !s.gate.is_cut());
-        fanout.subscribers.len()
+        Arc::strong_count(&self.window) - 1
     }
 }
 
@@ -911,29 +817,16 @@ fn shard_of(key: &ObjectKey) -> usize {
 
 /// Apply a WAL event to the object map during replay.
 fn apply_event(objects: &mut BTreeMap<ObjectKey, StoredObject>, event: &WatchEvent) {
-    match event.kind {
-        EventKind::Created => {
-            objects.insert(
-                event.key.clone(),
-                StoredObject::new(event.key.clone(), event.value.clone(), event.revision),
-            );
-        }
-        EventKind::Updated => {
-            if let Some(obj) = objects.get_mut(&event.key) {
-                obj.value = event.value.clone();
-                obj.revision = event.revision;
-            } else {
-                // An update without a create can only mean the history
-                // window predates the WAL; treat as create.
-                objects.insert(
-                    event.key.clone(),
-                    StoredObject::new(event.key.clone(), event.value.clone(), event.revision),
-                );
-            }
-        }
-        EventKind::Deleted => {
-            objects.remove(&event.key);
-        }
+    if event.kind == EventKind::Deleted {
+        objects.remove(&event.key);
+    } else if let (EventKind::Updated, Some(obj)) = (event.kind, objects.get_mut(&event.key)) {
+        obj.value = event.value.clone();
+        obj.revision = event.revision;
+    } else {
+        // A create — or an update without one, which can only mean the
+        // WAL starts after it; treat as create.
+        let fresh = StoredObject::new(event.key.clone(), event.value.clone(), event.revision);
+        objects.insert(event.key.clone(), fresh);
     }
 }
 
@@ -1267,24 +1160,34 @@ mod tests {
         assert_eq!(s.revision(), Revision(4));
         assert_eq!(s.get(&k("a")).unwrap().value, json!({"v": 10}));
         assert!(s.get(&k("b")).is_err());
+        // The retained window starts empty at the recovered revision.
+        assert!(matches!(
+            s.watch_from(Revision(3)),
+            Err(Error::WatchTooOld { from: 3, .. })
+        ));
+        let mut rx = s.watch_from(Revision(4)).unwrap();
         // New writes continue the revision sequence.
         assert_eq!(s.create(k("c"), json!(1)).unwrap(), Revision(5));
+        assert_eq!(rx.try_recv().unwrap().revision, Revision(5));
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
-    #[tokio::test]
-    async fn dropped_subscriber_is_pruned() {
+    /// The live-watch count is exact and side-effect free: it moves on
+    /// `watch_from` and on drop, with no commit needed to notice.
+    #[test]
+    fn dropped_subscriber_is_pruned() {
         let s = store();
         let rx = s.watch().unwrap();
-        assert_eq!(s.subscriber_count(), 1);
+        let other = s.watch().unwrap();
+        assert_eq!(s.subscriber_count(), 2);
         drop(rx);
-        s.create(k("a"), json!(1)).unwrap();
+        assert_eq!(s.subscriber_count(), 1);
+        drop(other);
         assert_eq!(s.subscriber_count(), 0);
     }
 
-    /// A subscriber that registers while events for earlier revisions are
-    /// still queued in the outbox must not see them twice: they were
-    /// replayed from history at registration time.
+    /// A watch opened mid-window reads what is retained after its start
+    /// and then each new commit: every revision once, none twice.
     #[tokio::test]
     async fn late_subscriber_sees_no_duplicates() {
         let s = store();
@@ -1298,69 +1201,148 @@ mod tests {
             seen.push(rx.recv().await.unwrap().revision.0);
         }
         assert_eq!(seen, vec![6, 7, 8, 9, 10, 11]);
+        assert!(rx.try_recv().is_none());
     }
 
-    /// A subscriber that stops reading is cut at its lag cap with a typed
-    /// resume point — it never wedges the drainer, and a healthy
-    /// subscriber alongside it receives every event.
-    #[tokio::test]
-    async fn slow_subscriber_is_cut_healthy_keeps_flowing() {
+    fn windowed(id: &str, history_cap: usize) -> ObjectStore {
         let profile = EngineProfile {
-            watch_lag_cap: 4,
+            history_cap,
             ..EngineProfile::instant()
         };
-        let s = ObjectStore::open(StoreId::new("test/slow"), profile).unwrap();
+        ObjectStore::open(StoreId::new(id), profile).unwrap()
+    }
+
+    /// An idle subscriber inside the retained window loses nothing: there
+    /// is no bound on how far a watch may lag other than the window.
+    #[tokio::test]
+    async fn idle_subscriber_inside_the_window_loses_nothing() {
+        let s = windowed("test/idle", 64);
+        let mut idle = s.watch().unwrap();
+        for i in 0..10u64 {
+            s.create(k(&format!("k{i}")), json!(i)).unwrap();
+        }
+        for want in 1..=10u64 {
+            assert_eq!(idle.recv().await.unwrap().revision, Revision(want));
+        }
+        assert!(idle.try_recv().is_none());
+        assert_eq!(idle.lag_resume_from(), None, "still live");
+    }
+
+    /// A subscriber that stops reading falls off the window — and only
+    /// then ends, saying how far it got. A healthy subscriber alongside
+    /// it receives every event, and the recovery is list + watch.
+    #[tokio::test]
+    async fn slow_subscriber_is_cut_healthy_keeps_flowing() {
+        let s = windowed("test/slow", 4);
         let mut slow = s.watch().unwrap();
         let mut healthy = s.watch().unwrap();
         for i in 0..20u64 {
             s.create(k(&format!("k{i}")), json!(i)).unwrap();
-            // The healthy subscriber keeps up; the slow one never reads.
             let e = healthy.recv().await.unwrap();
             assert_eq!(e.revision, Revision(i + 1));
+            // The slow subscriber reads two events, then never again. It is
+            // not ended while its next revision (3) is retained (through
+            // commit 6), nor before it looks.
+            if i < 2 {
+                assert_eq!(slow.recv().await.unwrap().revision, Revision(i + 1));
+            }
+            assert_eq!(slow.lag_resume_from(), None);
         }
-        // The slow subscriber got exactly its lag cap, then the cut.
-        let mut delivered = 0;
-        while let Ok(e) = slow.try_recv() {
-            delivered += 1;
-            assert_eq!(e.revision, Revision(delivered));
-        }
-        assert_eq!(delivered, 4, "delivery stops at the lag cap");
-        let resume = slow
-            .lag_resume_from()
-            .expect("cut must carry a resume point");
-        assert_eq!(resume, Revision(4), "first missed revision is 5");
-        assert!(slow.recv().await.is_none(), "cut stream ends");
-        assert_eq!(
-            s.subscriber_count(),
-            1,
-            "only the healthy subscriber remains"
+        assert!(
+            slow.recv().await.is_none(),
+            "fell off the window: stream ends"
         );
-        // The typed resume point supports a gapless re-watch.
-        let mut resumed = s.watch_from(resume).unwrap();
-        for want in 5..=20u64 {
-            assert_eq!(resumed.recv().await.unwrap().revision, Revision(want));
-        }
+        assert_eq!(
+            slow.lag_resume_from(),
+            Some(Revision(2)),
+            "first missed revision is 3"
+        );
+        assert!(slow.try_recv().is_none(), "and stays ended");
+        // Its next revision is gone by definition: the resume is a re-list.
+        assert_eq!(
+            s.watch_from(Revision(2)).unwrap_err(),
+            Error::WatchTooOld {
+                from: 2,
+                oldest: 17
+            }
+        );
+        let (objects, at) = s.list();
+        assert_eq!((objects.len(), at), (20, Revision(20)));
+        let mut resumed = s.watch_from(at).unwrap();
+        s.create(k("after"), json!("x")).unwrap();
+        assert_eq!(resumed.recv().await.unwrap().revision, Revision(21));
+        assert_eq!(healthy.recv().await.unwrap().revision, Revision(21));
     }
 
-    /// The cut subscriber's gate must not leak into fresh subscriptions:
-    /// after a cutoff, a new watch from the resume point behaves normally.
+    /// A watch that is never read costs the store nothing beyond its
+    /// cursor: no queue grows behind it, neighbours are served at once,
+    /// and its cutoff is counted once, when its consumer observes it.
     #[tokio::test]
-    async fn cutoff_does_not_stall_outbox_drain() {
-        let profile = EngineProfile {
-            watch_lag_cap: 2,
-            ..EngineProfile::instant()
-        };
-        let s = ObjectStore::open(StoreId::new("test/cut"), profile).unwrap();
-        let slow = s.watch().unwrap();
+    async fn cutoff_is_observed_by_the_reader_and_stalls_no_one() {
+        let s = windowed("test/cut", 2);
+        let cutoffs = metrics::global().counter(
+            "knactor_store_watch_cutoffs_total",
+            &[("store", "test/cut")],
+        );
+        let mut unread = s.watch().unwrap();
         for i in 0..10u64 {
             s.create(k(&format!("k{i}")), json!(i)).unwrap();
         }
-        assert!(slow.lag_resume_from().is_some());
-        // The outbox fully drained despite the cut subscriber: a new
-        // write flows to a fresh subscriber immediately.
+        assert_eq!((unread.lag_resume_from(), cutoffs.get()), (None, 0));
         let mut fresh = s.watch_from(s.revision()).unwrap();
         s.create(k("after"), json!("x")).unwrap();
-        let e = fresh.recv().await.unwrap();
-        assert_eq!(e.key, k("after"));
+        assert_eq!(fresh.recv().await.unwrap().key, k("after"));
+        assert!(unread.try_recv().is_none());
+        assert!(unread.recv().await.is_none());
+        assert_eq!(
+            (unread.lag_resume_from(), cutoffs.get()),
+            (Some(Revision::ZERO), 1)
+        );
+    }
+
+    /// The wake is once per batch that committed something — a batch of
+    /// no-op patches (an integrator re-deriving unchanged state) wakes none
+    /// of the store's watchers.
+    #[test]
+    fn a_batch_that_commits_nothing_wakes_no_one() {
+        use std::future::Future;
+        use std::task::{Context, Waker};
+        let s = store();
+        s.create(k("a"), json!({"x": 1})).unwrap();
+        let mut wake = s.commit_watch.subscribe();
+        let mut woken = || {
+            let mut cx = Context::from_waker(Waker::noop());
+            std::pin::pin!(wake.changed()).poll(&mut cx).is_ready()
+        };
+        let unchanged = || BatchOp::Patch {
+            key: k("a"),
+            patch: json!({"x": 1}),
+            upsert: false,
+        };
+        s.apply_batch(vec![unchanged()]).unwrap();
+        assert!(!woken(), "no commit, no wake");
+        let create = BatchOp::Create {
+            key: k("b"),
+            value: json!(2),
+        };
+        s.apply_batch(vec![unchanged(), create]).unwrap();
+        assert!(woken());
+        assert!(!woken(), "one wake per batch");
+    }
+
+    /// `revision_reached` waits on the commit wake, not on a timer: it
+    /// returns for a revision already applied and for one applied later.
+    #[tokio::test]
+    async fn revision_reached_wakes_on_commit() {
+        let s = Arc::new(store());
+        s.create(k("a"), json!(1)).unwrap();
+        assert_eq!(s.revision_reached(Revision(1)).await, Revision(1));
+        let waiter = {
+            let s = Arc::clone(&s);
+            tokio::spawn(async move { s.revision_reached(Revision(3)).await })
+        };
+        s.create(k("b"), json!(2)).unwrap();
+        s.create(k("c"), json!(3)).unwrap();
+        assert_eq!(waiter.await.unwrap(), Revision(3));
     }
 }

@@ -4,7 +4,7 @@
 //! strictly monotonic gapless revisions, exactly-once in-order watch
 //! delivery, and OCC rejection of stale writes.
 
-use knactor_store::ObjectStore;
+use knactor_store::{BatchOp, ObjectStore};
 use knactor_types::{Error, ObjectKey, Revision};
 use serde_json::json;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -94,7 +94,7 @@ fn concurrent_writers_readers_and_watchers_preserve_invariants() {
     // The watch stream saw every commit exactly once, in revision order,
     // with no gaps.
     let mut expect = 1u64;
-    while let Ok(e) = rx.try_recv() {
+    while let Some(e) = rx.try_recv() {
         assert_eq!(e.revision, Revision(expect), "gapless in-order delivery");
         expect += 1;
     }
@@ -146,16 +146,14 @@ fn concurrent_patches_merge_without_losing_fields() {
     }
 }
 
-/// The outbox drainer under a subscribe/unsubscribe storm: churner
-/// threads register watches and drop them immediately while writers keep
-/// committing, so the CAS-elected drainer constantly loses its election,
-/// stands down mid-queue, re-checks the outbox, and prunes dead
-/// subscribers. Through all of it a watcher that stays subscribed must
-/// see every commit exactly once, in revision order — an event enqueued
-/// during a drainer hand-off must never be stranded or delivered out of
-/// order.
+/// The retained window under a subscribe/unsubscribe storm: churner
+/// threads open watches and drop them immediately while writers keep
+/// committing, so cursors come and go (and read) while the ring is being
+/// appended to. Through all of it a watcher that stays subscribed must
+/// see every commit exactly once, in revision order, and the live-watch
+/// count must come back to exactly the watches still held.
 #[test]
-fn outbox_drainer_survives_subscriber_churn() {
+fn watchers_survive_subscriber_churn() {
     const WRITERS: usize = 4;
     const ITERS: u64 = 300;
     const CHURNERS: usize = 4;
@@ -172,9 +170,8 @@ fn outbox_drainer_survives_subscriber_churn() {
             std::thread::spawn(move || {
                 let mut spins = 0u64;
                 while !stop.load(Ordering::Relaxed) {
-                    // Subscribe at the live edge, maybe peek, then drop:
-                    // the dead sender is what the drainer must prune while
-                    // events are in flight.
+                    // Subscribe at the live edge, maybe peek, then drop,
+                    // all while events are in flight.
                     if let Ok(mut rx) = store.watch_from(store.revision()) {
                         if spins.is_multiple_of(3) {
                             let _ = rx.try_recv();
@@ -204,7 +201,7 @@ fn outbox_drainer_survives_subscriber_churn() {
     let joined_at = store.revision();
     let mut mid = store
         .watch_from(joined_at)
-        .expect("join point is current, never beyond history");
+        .expect("join point is current, never beyond the window");
 
     for w in writers {
         w.join().unwrap();
@@ -217,10 +214,15 @@ fn outbox_drainer_survives_subscriber_churn() {
     let total = WRITERS as u64 * ITERS;
     assert_eq!(store.revision(), Revision(total));
 
-    // Anchor: every commit exactly once, in order, none stranded in the
-    // outbox by a drainer hand-off.
+    assert_eq!(
+        store.subscriber_count(),
+        2,
+        "anchor and mid, no churner left"
+    );
+
+    // Anchor: every commit exactly once, in order.
     let mut expect = 1u64;
-    while let Ok(e) = anchor.try_recv() {
+    while let Some(e) = anchor.try_recv() {
         assert_eq!(e.revision, Revision(expect), "gapless in-order delivery");
         expect += 1;
     }
@@ -228,7 +230,7 @@ fn outbox_drainer_survives_subscriber_churn() {
 
     // Mid-stream: consecutive from its join revision through the end.
     let mut expect = joined_at.0 + 1;
-    while let Ok(e) = mid.try_recv() {
+    while let Some(e) = mid.try_recv() {
         assert_eq!(
             e.revision,
             Revision(expect),
@@ -237,4 +239,61 @@ fn outbox_drainer_survives_subscriber_churn() {
         expect += 1;
     }
     assert_eq!(expect - 1, total, "mid-join watcher missed the tail");
+}
+
+/// The hazard a cursor design introduces: a watcher blocked in
+/// `recv().await` must be woken by the commit that lands between its
+/// "nothing after my cursor" read and its waker registration. A missed
+/// wake is repaired by the next commit, so it only shows when nothing
+/// follows: each round, four writer threads commit once at the same
+/// moment and then go quiet until every watcher has reported the round's
+/// last revision. Watchers see every revision, dense and in order. The
+/// wait is on state — the deadline only detects the hang.
+#[tokio::test]
+async fn blocked_watchers_never_miss_a_wake() {
+    const WRITERS: u64 = 4;
+    const ROUNDS: u64 = 8000;
+    const WATCHERS: usize = 6;
+
+    let store = Arc::new(ObjectStore::in_memory("stress/blocked"));
+    let (done_tx, mut done_rx) = tokio::sync::mpsc::unbounded_channel();
+    for _ in 0..WATCHERS {
+        let mut rx = store.watch().unwrap();
+        let done_tx = done_tx.clone();
+        tokio::spawn(async move {
+            for want in 1..=WRITERS * ROUNDS {
+                let e = rx.recv().await.expect("a live watch inside the window");
+                assert_eq!(e.revision, Revision(want), "dense, in order");
+                if want % WRITERS == 0 {
+                    done_tx.send(want).unwrap();
+                }
+            }
+        });
+    }
+
+    for round in 0..ROUNDS {
+        std::thread::scope(|scope| {
+            for w in 0..WRITERS {
+                let store = &store;
+                scope.spawn(move || {
+                    // Odd rounds go through `apply_batch` (one wake per batch).
+                    let key = ObjectKey::new(format!("w{w}-{round}"));
+                    if round % 2 == 0 {
+                        store.create(key, json!(round)).unwrap();
+                    } else {
+                        let value = json!(round);
+                        store
+                            .apply_batch(vec![BatchOp::Create { key, value }])
+                            .unwrap();
+                    }
+                });
+            }
+        });
+        for _ in 0..WATCHERS {
+            let reached = tokio::time::timeout(std::time::Duration::from_secs(30), done_rx.recv())
+                .await
+                .expect("a blocked watcher missed its wake-up");
+            assert_eq!(reached, Some((round + 1) * WRITERS));
+        }
+    }
 }

@@ -225,7 +225,10 @@ fn post_recovery_watch_resume_is_too_old_not_gapped() {
     match err {
         knactor_types::Error::WatchTooOld { from, oldest } => {
             assert_eq!(from, 2);
-            assert_eq!(oldest, 5, "oldest must be the recovered revision");
+            assert_eq!(
+                oldest, 6,
+                "nothing up to the recovered revision is retained"
+            );
         }
         other => panic!("expected WatchTooOld, got {other:?}"),
     }
@@ -234,8 +237,7 @@ fn post_recovery_watch_resume_is_too_old_not_gapped() {
     let (_, rev) = store.list();
     let mut rx = store.watch_from(rev).unwrap();
     store.create(key(10), val(10)).unwrap();
-    // Fan-out is synchronous for an in-process watcher: the event is in
-    // the channel by the time `create` returns.
+    // The event is in the retained window by the time `create` returns.
     let event = rx.try_recv().unwrap();
     assert_eq!(event.revision, Revision(6));
     assert_eq!(event.key, key(10));

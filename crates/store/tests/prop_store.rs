@@ -81,7 +81,7 @@ proptest! {
                 events.push(rx.recv().await.expect("missing event"));
             }
             // No extra events.
-            assert!(rx.try_recv().is_err(), "spurious extra event");
+            assert!(rx.try_recv().is_none(), "spurious extra event");
             // Strictly increasing, gapless revisions.
             for (i, e) in events.iter().enumerate() {
                 assert_eq!(e.revision, Revision(i as u64 + 1));

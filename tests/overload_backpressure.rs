@@ -10,8 +10,10 @@
 //!    fault proxy, the deployment path chaos CI exercises) completes,
 //!    leaves no abandoned operations, and the server still answers.
 //! 3. **Slow subscribers can't take the store down** — a watcher that
-//!    stops reading is cut with a typed `WatchLagged { resume_from }`
-//!    frame while healthy subscribers keep receiving every event.
+//!    stops reading costs the store nothing; once it falls off the
+//!    retained window its stream ends with a typed
+//!    `WatchLagged { resume_from }` frame, recovered by re-list, while
+//!    healthy subscribers keep receiving every event.
 //!
 //! Seeded (`CHAOS_SEED`) like the rest of the chaos suite.
 
@@ -21,8 +23,9 @@ use knactor_net::client::{ResilientClient, RetryPolicy};
 use knactor_net::frame::{FrameReader, FrameWriter};
 use knactor_net::proto::{decode, encode, EventBody, Hello, Request, RequestEnvelope, ServerMsg};
 use knactor_net::server::ServerConfig;
-use knactor_net::{FaultPlan, FaultProxy};
+use knactor_net::{FaultPlan, FaultProxy, WatchRx};
 use knactor_store::profile::WatchDelivery;
+use knactor_store::{EventKind, WatchEvent};
 use serde_json::json;
 use std::sync::Arc;
 use std::time::Duration;
@@ -291,10 +294,11 @@ async fn saturating_rate_sweep_degrades_but_never_wedges() {
     server.shutdown().await;
 }
 
-/// A subscriber that stops reading is cut with a typed
-/// `WatchLagged { resume_from }` while healthy subscribers — and the
-/// store's outbox drainer — keep flowing; resuming from the carried
-/// revision replays the gap exactly.
+/// A subscriber that stops reading falls off the store's retained window
+/// and is told so with a typed `WatchLagged { resume_from }` when its pump
+/// next pulls, while healthy subscribers keep flowing. Its next revision
+/// is gone by definition, so a raw re-watch is `WatchTooOld` and a
+/// resuming client converges by re-list.
 #[tokio::test(flavor = "multi_thread", worker_threads = 4)]
 async fn slow_subscriber_cut_healthy_subscriber_served() {
     let server = ExchangeServer::bind_with_config(
@@ -303,7 +307,7 @@ async fn slow_subscriber_cut_healthy_subscriber_served() {
         Arc::new(LogExchange::new()),
         ServerConfig {
             // A small per-connection queue so the non-reading socket
-            // backs up into the store-side lag gate quickly.
+            // blocks its pump quickly.
             outbound_queue: 8,
             shed_watermark: 8,
             max_inflight: 64,
@@ -317,15 +321,15 @@ async fn slow_subscriber_cut_healthy_subscriber_served() {
         .object
         .create_store(
             store.clone(),
-            // The lag cap is sized so only a subscriber that has stopped
-            // reading can plausibly trip it: 256 events of ~48KiB is
-            // ~12MiB of backlog, far past any transient scheduling stall
-            // of a reader that is actually consuming, while the
-            // non-reading socket blows through it the moment the kernel's
+            // The window is sized so only a subscriber that has stopped
+            // reading can plausibly fall off it: 256 events of ~48KiB is
+            // ~12MiB behind, far past any transient scheduling stall of a
+            // reader that is actually consuming, while the non-reading
+            // socket's pump is left behind the moment the kernel's
             // buffers stop absorbing.
             EngineProfile {
                 watch: WatchDelivery::Push,
-                watch_lag_cap: 256,
+                history_cap: 256,
                 ..EngineProfile::instant()
             },
         )
@@ -375,8 +379,8 @@ async fn slow_subscriber_cut_healthy_subscriber_served() {
 
     // The healthy subscriber, reading normally over a real client: a
     // concurrent task consumes events as they arrive (a subscriber that
-    // sat on its channel for the whole write volume would deservedly be
-    // cut too), asserting density and order, until told the final
+    // sat on its channel for the whole write volume would deservedly
+    // fall off too), asserting density and order, until told the final
     // revision to expect.
     let healthy = TcpClient::connect(server.local_addr(), Subject::operator("healthy"))
         .await
@@ -413,15 +417,18 @@ async fn slow_subscriber_cut_healthy_subscriber_served() {
     });
 
     // Values are deliberately fat: the slow subscriber's backlog has to
-    // overflow the kernel's TCP buffers before the server's bounded
-    // outbound queue — and behind it the store's lag gate — fills up.
+    // overflow the kernel's TCP buffers and the server's bounded outbound
+    // queue before its pump stops pulling and the window moves past it.
     // How much the kernel absorbs depends on autotuned window sizes
     // (warmed loopback route metrics can push rcvbuf to tcp_rmem's max),
-    // so instead of a fixed write count we commit until the cutoff
-    // counter moves, with a byte ceiling comfortably above the largest
-    // buffer budget autotuning can reach (32 MiB rmem + 4 MiB wmem on
-    // stock kernels; the ceiling below is ~66 MiB of padded values).
-    const MAX_COMMITS: u64 = 1400;
+    // and the cut is only observed when the pump next pulls, so the write
+    // count is a fixed byte ceiling comfortably above the largest buffer
+    // budget autotuning can reach plus the window (32 MiB rmem + 4 MiB
+    // wmem on stock kernels; the ceiling below is ~66 MiB of padded values).
+    // The fat values cycle over a few keys, so the store itself (and the
+    // re-list below) stays a few MiB.
+    const COMMITS: u64 = 1400;
+    const KEYS: u64 = 100;
     let pad = "x".repeat(48 * 1024);
     let writer = TcpClient::connect(server.local_addr(), Subject::operator("writer"))
         .await
@@ -435,68 +442,27 @@ async fn slow_subscriber_cut_healthy_subscriber_served() {
             .sum()
     };
     let cutoffs_before = cutoffs_at(&writer.metrics().await.unwrap());
-    let mut committed = 0u64;
-    while committed < MAX_COMMITS {
-        for _ in 0..50 {
-            writer
-                .create(
-                    store.clone(),
-                    ObjectKey::new(format!("k{committed:04}").as_str()),
-                    json!({"i": committed, "pad": pad}),
-                )
-                .await
-                .unwrap();
-            committed += 1;
-        }
-        if cutoffs_at(&writer.metrics().await.unwrap()) > cutoffs_before {
-            break;
-        }
+    for i in 0..COMMITS {
+        let key = ObjectKey::new(format!("k{:02}", i % KEYS).as_str());
+        let value = json!({"i": i, "pad": pad});
+        let revision = writer.patch(store.clone(), key, value, true).await;
+        assert_eq!(revision.unwrap(), Revision(i + 1));
     }
-    let commits = committed;
 
-    // Healthy subscriber: every commit arrives, in order — the drainer
-    // was never stalled behind the non-reading connection.
-    target.store(commits, Ordering::Release);
+    // Healthy subscriber: every commit arrives, in order — nothing it
+    // reads from was held up by the non-reading connection.
+    target.store(COMMITS, Ordering::Release);
     let received = healthy_task
         .await
         .expect("healthy subscriber task panicked");
     assert_eq!(
-        received, commits,
+        received, COMMITS,
         "healthy subscriber missed events behind a slow peer"
     );
 
-    // The store cut the laggard (typed, counted) and its outbox drains
-    // to empty — the drainer was never stalled.
-    let snapshot = healthy.metrics().await.unwrap();
-    assert!(
-        cutoffs_at(&snapshot) > cutoffs_before,
-        "lagging subscriber was never cut within {commits} fat commits"
-    );
-    let drained = tokio::time::timeout(Duration::from_secs(5), async {
-        loop {
-            let snapshot = healthy.metrics().await.unwrap();
-            let lag = snapshot
-                .gauges
-                .iter()
-                .find(|g| {
-                    g.name == "knactor_store_outbox_lag"
-                        && g.labels
-                            .iter()
-                            .any(|(k, v)| k == "store" && v == "feed/state")
-                })
-                .map(|g| g.value)
-                .expect("outbox lag gauge missing");
-            if lag == 0 {
-                break;
-            }
-            tokio::time::sleep(Duration::from_millis(5)).await;
-        }
-    })
-    .await;
-    assert!(drained.is_ok(), "outbox never drained after the cut");
-
-    // Now drain the slow socket: buffered events, then the typed cut
-    // frame naming the resume revision.
+    // Now drain the slow socket: buffered events, then — its pump pulls
+    // again and finds its cursor off the window — the typed frame naming
+    // how far it got.
     let resume_from = tokio::time::timeout(Duration::from_secs(10), async {
         loop {
             let frame = slow_reader
@@ -514,25 +480,60 @@ async fn slow_subscriber_cut_healthy_subscriber_served() {
         }
     })
     .await
-    .expect("no WatchLagged frame reached the cut subscriber");
-    assert!(resume_from < commits, "resume point past the write horizon");
+    .expect("no WatchLagged frame reached the lagging subscriber");
+    assert!(resume_from < COMMITS, "resume point past the write horizon");
+    assert!(
+        cutoffs_at(&healthy.metrics().await.unwrap()) > cutoffs_before,
+        "the lagging subscriber's cutoff was not counted"
+    );
 
-    // The carried resume point is genuinely gapless: a fresh watch from
-    // it replays revisions resume_from+1 ..= commits in order.
-    let resumer = TcpClient::connect(server.local_addr(), Subject::operator("resumer"))
+    // Its next revision has left the window: a raw re-watch is refused,
+    // typed.
+    let err = healthy
+        .watch(store.clone(), Revision(resume_from))
         .await
-        .unwrap();
+        .unwrap_err();
+    assert!(matches!(err, Error::WatchTooOld { .. }), "{err:?}");
+
+    // A resuming client converges from the same point by re-list: every
+    // object changed since (all of them, each last written in the final
+    // `KEYS` commits), once, in revision order, then live.
+    let resumer = ResilientClient::connect(
+        server.local_addr(),
+        Subject::operator("resumer"),
+        RetryPolicy::default(),
+    )
+    .await
+    .unwrap();
     let mut resumed = resumer
         .watch(store.clone(), Revision(resume_from))
         .await
         .unwrap();
-    for expected in (resume_from + 1)..=commits {
-        let event = tokio::time::timeout(Duration::from_secs(10), resumed.recv())
-            .await
-            .expect("resume replay stalled")
-            .expect("resume stream closed early");
-        assert_eq!(event.revision, Revision(expected), "resume replay gapped");
+    async fn next(what: &str, rx: &mut WatchRx) -> WatchEvent {
+        let event = tokio::time::timeout(Duration::from_secs(10), rx.recv()).await;
+        event.expect(what).expect("resumed stream closed early")
     }
+    for expected in (COMMITS - KEYS + 1)..=COMMITS {
+        let event = next("re-list stalled", &mut resumed).await;
+        assert_eq!(
+            (event.revision, event.kind),
+            (Revision(expected), EventKind::Updated),
+            "re-list gapped"
+        );
+    }
+    writer
+        .create(
+            store.clone(),
+            ObjectKey::new("after"),
+            json!({"i": COMMITS}),
+        )
+        .await
+        .unwrap();
+    let live = next("live event after the re-list stalled", &mut resumed).await;
+    assert_eq!(
+        (live.revision, live.kind),
+        (Revision(COMMITS + 1), EventKind::Created)
+    );
 
     server.shutdown().await;
 }
