@@ -165,7 +165,6 @@ fn run(records: usize, iters: usize, quick: bool) -> serde_json::Value {
             segment_capacity: 1024,
             columnar: true,
             compaction: Some(CompactionPolicy::default()),
-            ..Default::default()
         },
     );
     let rep: Vec<Value> = (0..records.min(131_072))

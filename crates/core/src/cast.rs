@@ -33,6 +33,8 @@ use crate::metrics::{global, inc_activation, observe_stage};
 use crate::telemetry::TraceCollector;
 use knactor_dxg::{Dxg, Plan};
 use knactor_expr::Env;
+use knactor_net::api::watch_event;
+use knactor_net::proto::Request;
 use knactor_net::ExchangeApi;
 use knactor_store::{EventKind, PutItem, StoredObject, UdfBinding, WatchEvent};
 use knactor_types::{Error, ObjectKey, Result, Revision, StoreId, Value};
@@ -236,12 +238,15 @@ impl Edge for CastEdge {
     async fn open(&mut self) -> Result<Source<Self::Event>> {
         let aliases = watch_aliases(&self.config.dxg);
         self.resume.resize(aliases.len(), Revision::ZERO);
-        let sources: Vec<_> = aliases
+        let requests: Vec<_> = aliases
             .iter()
             .zip(&self.resume)
-            .map(|(alias, from)| (self.config.bindings[alias].store.clone(), *from))
+            .map(|(alias, from)| Request::Watch {
+                store: self.config.bindings[alias].store.clone(),
+                from: *from,
+            })
             .collect();
-        integrator::watches(&*self.host.api, sources).await
+        integrator::sources(&*self.host.api, requests, watch_event).await
     }
 
     fn fold_limit(&self) -> usize {

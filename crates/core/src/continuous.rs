@@ -14,15 +14,17 @@
 //! back and resumes the tail from there, so a crash/restart cannot
 //! re-count a record into a second window or skip one — the next window
 //! starts at exactly `end_seq + 1`. A typed [`TailEvent::Lagged`] (the
-//! source's retention outran us) is the one unavoidable loss: the
-//! controller drops its partial window, restarts windowing at the resume
-//! point, and counts the event in `knactor_cq_lagged_total`.
+//! source's retention outran us — while tailing, or while the query was
+//! down) is the one unavoidable loss: the controller drops its partial
+//! window, restarts windowing at the resume point, and counts the lost
+//! records in `knactor_cq_lagged_total`.
 
 use crate::integrator::{
     self, wrong_kind, Controller, Edge, Host, IntegratorConfig, Progress, Source,
 };
 use knactor_logstore::{TailEvent, WindowSpec, WindowState};
-use knactor_net::proto::QuerySpec;
+use knactor_net::api::tail_event;
+use knactor_net::proto::{QuerySpec, Request};
 use knactor_net::ExchangeApi;
 use knactor_types::{ObjectKey, Result, StoreId, Value};
 use std::sync::atomic::Ordering;
@@ -155,8 +157,11 @@ impl Edge for ContinuousEdge {
                 self.state.insert(state).last_seq
             }
         };
-        let source = self.config.source.clone();
-        integrator::tail(&*self.host.api, source, last_seq).await
+        let request = Request::LogTail {
+            store: self.config.source.clone(),
+            from: last_seq,
+        };
+        integrator::sources(&*self.host.api, [request], tail_event).await
     }
 
     async fn process(&mut self, events: Vec<(usize, TailEvent)>) {
@@ -257,6 +262,7 @@ async fn write_window(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use knactor_logstore::LogConfig;
     use knactor_net::loopback::in_process;
     use knactor_net::proto::{OpSpec, ProfileSpec};
     use knactor_rbac::Subject;
@@ -368,6 +374,54 @@ mod tests {
         assert_eq!(v["end_seq"].as_u64(), Some(8));
         assert_eq!(v["records_total"].as_u64(), Some(8));
         assert!((v["rows"][0]["total"].as_f64().unwrap() - 8.0).abs() < 1e-9);
+        controller.shutdown().await;
+    }
+
+    /// Regression: a query re-spawned after the source's retention passed
+    /// its recorded `end_seq` used to tail on from the horizon silently.
+    /// It is told what it lost — one `Lagged` for exactly those records,
+    /// counted by `knactor_cq_lagged_total` — and windows on from the
+    /// horizon.
+    #[tokio::test]
+    async fn a_restart_past_retention_is_told_what_it_lost() {
+        let (_, log, client) = in_process(Subject::integrator("cq"));
+        let api: Arc<dyn ExchangeApi> = Arc::new(client);
+        let spec = LogConfig {
+            segment_capacity: 4,
+            ..LogConfig::default()
+        };
+        let source = log.create_store_with("sensor/telemetry", spec).unwrap();
+        let dest = StoreId::new("house/analytics");
+        api.create_store(dest, ProfileSpec::Instant).await.unwrap();
+        let config = ContinuousConfig {
+            name: "restarted-window".to_string(),
+            ..config()
+        };
+        let lagged = crate::metrics::global()
+            .counter("knactor_cq_lagged_total", &[("cq", "restarted-window")]);
+
+        let controller = Continuous::new(Arc::clone(&api))
+            .spawn(config.clone())
+            .await
+            .unwrap();
+        source.append_batch((0..4).map(|_| json!({"kwh": 1.0})));
+        assert_eq!(await_window(&api, 0).await["end_seq"].as_u64(), Some(4));
+        controller.shutdown().await;
+
+        // While it is down, retention passes its resume point.
+        source.set_retention(Some(4));
+        source.append_batch((0..20).map(|_| json!({"kwh": 2.0})));
+        let oldest = source.oldest_seq();
+        assert!(oldest > 5, "retention should have passed end_seq");
+        let before = lagged.get();
+        let controller = Continuous::new(Arc::clone(&api))
+            .spawn(config)
+            .await
+            .unwrap();
+        let v = await_window(&api, 1).await;
+        assert_eq!(lagged.get() - before, oldest - 1 - 4, "missed records");
+        assert_eq!(v["start_seq"].as_u64(), Some(oldest));
+        assert_eq!(v["records_total"].as_u64(), Some(8));
         controller.shutdown().await;
     }
 

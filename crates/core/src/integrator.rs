@@ -21,21 +21,19 @@
 //!
 //! A source that cannot be opened is retried every [`REOPEN_DELAY`], and a
 //! source stream that *ends* (a lag cut, a dropped connection) is
-//! re-opened from the edge's resume point — in both states commands are
-//! still answered, and neither is ever silently fatal.
+//! re-opened from the edge's resume point through [`sources`] — in both
+//! states commands are still answered, and neither is ever silently fatal.
 
 use crate::cast::{Cast, CastConfig};
 use crate::continuous::{Continuous, ContinuousConfig};
 use crate::sync::{Sync, SyncConfig};
 use crate::telemetry::TraceCollector;
 use knactor_expr::FnRegistry;
-use knactor_logstore::TailEvent;
-use knactor_net::api::{tail_event, watch_event};
-use knactor_net::proto::Request;
+use knactor_net::proto::{EventBody, Request};
 use knactor_net::stream::{establish, Merge, Position};
 use knactor_net::ExchangeApi;
-use knactor_store::{PutItem, WatchEvent};
-use knactor_types::{Error, ObjectKey, Result, Revision, StoreId, Value};
+use knactor_store::PutItem;
+use knactor_types::{Error, ObjectKey, Result, StoreId, Value};
 use std::future::Future;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -422,35 +420,27 @@ fn take_queued<E>(
 /// re-opens all of them from their resume points.
 pub(crate) type Source<T> = Merge<T>;
 
-/// Tail `store` from `from`.
-pub(crate) async fn tail(
+/// Open each `Watch` or `LogTail` in `requests` from its resume point
+/// through [`establish`], so a point the store's retained window has left
+/// gets its typed recovery, queued ahead of the merged streams: a watch is
+/// re-listed (consumers are level-triggered — they read current state;
+/// no-op patches are suppressed — so re-seeing current state is safe), a
+/// tail starts with the one `Lagged` counting the records it lost.
+pub(crate) async fn sources<T>(
     api: &dyn ExchangeApi,
-    store: StoreId,
-    from: u64,
-) -> Result<Source<TailEvent>> {
-    let stream = api.open(Request::LogTail { store, from }).await?;
-    Ok(Merge::new(vec![stream], tail_event))
-}
-
-/// Watch each `(store, from)` pair. A `from` the store's bounded history
-/// no longer reaches back to (long-lived or recovered store) is re-listed
-/// instead — consumers are level-triggered (they read current state; no-op
-/// patches are suppressed), so re-seeing current state is safe — and
-/// watched from the listing's revision.
-pub(crate) async fn watches(
-    api: &dyn ExchangeApi,
-    sources: impl IntoIterator<Item = (StoreId, Revision)>,
-) -> Result<Source<WatchEvent>> {
-    let mut relisted = Vec::new();
+    requests: impl IntoIterator<Item = Request>,
+    view: fn(EventBody) -> Option<T>,
+) -> Result<Source<T>> {
+    let mut recovered = Vec::new();
     let mut streams = Vec::new();
-    for (store, from) in sources {
-        let request = Request::Watch { store, from };
-        let (synthetic, stream) = establish(api, &request, &mut Position::at(from.0)).await?;
-        relisted.push(synthetic);
+    for request in requests {
+        let mut position = Position::of(&request)?;
+        let (synthetic, stream) = establish(api, &request, &mut position).await?;
+        recovered.push(synthetic);
         streams.push(stream);
     }
-    let mut source = Merge::new(streams, watch_event);
-    for (index, synthetic) in relisted.into_iter().enumerate() {
+    let mut source = Merge::new(streams, view);
+    for (index, synthetic) in recovered.into_iter().enumerate() {
         source.queue(index, synthetic);
     }
     Ok(source)
@@ -470,7 +460,7 @@ mod tests {
     use knactor_net::stream::Stream;
     use knactor_net::{BoxFuture, Exchange, Subscription};
     use knactor_rbac::Subject;
-    use knactor_store::EventKind;
+    use knactor_store::{EventKind, WatchEvent};
     use knactor_types::ObjectKey;
     use parking_lot::Mutex;
     use serde_json::json;

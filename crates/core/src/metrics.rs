@@ -20,6 +20,8 @@
 //! | `knactor_wal_appends_total` | counter | — |
 //! | `knactor_wal_recoveries_total` | counter | — |
 //! | `knactor_log_appends_total` | counter | `store` |
+//! | `knactor_log_tail_depth` | gauge | `store` |
+//! | `knactor_log_tail_cutoffs_total` | counter | `store` |
 //! | `knactor_activations_total` | counter | `integrator` |
 //! | `knactor_activation_stage_seconds` | histogram | `integrator`, `stage` |
 //! | `knactor_client_retries_total` | counter | — |

@@ -13,6 +13,8 @@
 use crate::integrator::{self, wrong_kind, Controller, Edge, IntegratorConfig, Source};
 use crate::knactor::Knactor;
 use crate::reconciler::{Reconciler, ReconcilerCtx};
+use knactor_net::api::watch_event;
+use knactor_net::proto::Request;
 use knactor_net::ExchangeApi;
 use knactor_store::WatchEvent;
 use knactor_types::{Error, Result, Revision};
@@ -172,7 +174,11 @@ impl Edge for ReconcileEdge {
     }
 
     async fn open(&mut self) -> Result<Source<Self::Event>> {
-        integrator::watches(&*self.ctx.api, [(self.ctx.store.clone(), self.resume)]).await
+        let request = Request::Watch {
+            store: self.ctx.store.clone(),
+            from: self.resume,
+        };
+        integrator::sources(&*self.ctx.api, [request], watch_event).await
     }
 
     async fn process(&mut self, events: Vec<(usize, WatchEvent)>) {

@@ -17,7 +17,8 @@ use crate::integrator::{
     self, wrong_kind, Controller, Edge, Host, IntegratorConfig, Progress, Source,
 };
 use knactor_logstore::{LogRecord, TailEvent};
-use knactor_net::proto::QuerySpec;
+use knactor_net::api::tail_event;
+use knactor_net::proto::{QuerySpec, Request};
 use knactor_net::ExchangeApi;
 use knactor_types::{Error, FieldPath, ObjectKey, Result, StoreId, Value};
 use std::sync::atomic::Ordering;
@@ -146,8 +147,11 @@ impl Edge for SyncEdge {
     }
 
     async fn open(&mut self) -> Result<Source<TailEvent>> {
-        let source = self.config.source.clone();
-        integrator::tail(&*self.host.api, source, self.last_seq).await
+        let request = Request::LogTail {
+            store: self.config.source.clone(),
+            from: self.last_seq,
+        };
+        integrator::sources(&*self.host.api, [request], tail_event).await
     }
 
     /// Run tailed events through the configured pipeline: lag notices

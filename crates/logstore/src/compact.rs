@@ -148,7 +148,6 @@ mod tests {
                 segment_capacity: 8,
                 columnar: true,
                 compaction,
-                ..Default::default()
             },
         )
     }

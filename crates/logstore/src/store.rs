@@ -7,23 +7,26 @@
 //! segments are re-encoded columnar off the lock and compacted in the
 //! background ([`crate::compact`]).
 //!
-//! Tailing is pull-based: a [`TailRx`] holds a cursor into the store and
-//! pulls bounded chunks on demand, waking on a watch channel when new
-//! records land. A slow tailer therefore buffers at most one chunk — if
-//! retention truncates records it never pulled, it gets a typed
-//! [`TailEvent::Lagged`] resume point instead of silently unbounded
-//! memory.
+//! A [`TailRx`] is the one cursor of `knactor_types::window`, as an
+//! Object-DE watch is: it reads bounded chunks after its position on demand
+//! and waits on the store's one append wake, so a slow tailer holds at most
+//! one chunk. The store supplies only [`Segments`], the read of up to n
+//! records after a sequence number — the one walk over the sealed and the
+//! active segments, which [`LogStore::read_from`] shares. A tail whose
+//! unread records retention drops *ends* and says where it stopped; the
+//! recovery (one typed [`TailEvent::Lagged`], then on from the horizon) is
+//! the exchange's, in `knactor_net::stream::establish`.
 
 use crate::compact::CompactionPolicy;
 use crate::segment::SealedSegment;
 use knactor_types::metrics::{self, Counter, Gauge};
+use knactor_types::window::{Cursor, Retained, Window};
 use knactor_types::{Error, Result, StoreId, Value};
-use parking_lot::{Mutex, RwLock};
+use parking_lot::{Mutex, MutexGuard, RwLock};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::AtomicBool;
 use std::sync::{Arc, Weak};
-use tokio::sync::watch;
 
 /// One ingested record: a sequence number and a structured payload.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -45,9 +48,6 @@ pub struct LogConfig {
     pub columnar: bool,
     /// Merge runs of small sealed segments in the background.
     pub compaction: Option<CompactionPolicy>,
-    /// Max records a tail pull materializes at once (bounds per-tailer
-    /// memory).
-    pub tail_chunk: usize,
 }
 
 impl Default for LogConfig {
@@ -56,7 +56,6 @@ impl Default for LogConfig {
             segment_capacity: 1024,
             columnar: true,
             compaction: None,
-            tail_chunk: 256,
         }
     }
 }
@@ -65,13 +64,13 @@ impl Default for LogConfig {
 pub struct LogStore {
     id: StoreId,
     config: LogConfig,
-    inner: Mutex<LogInner>,
-    /// Self-handle so `&self` methods can hand out owned references
-    /// (tail receivers, background compaction tasks).
+    /// The retained segments and their one wake — the last assigned seq,
+    /// announced after every append; tails park on it instead of owning
+    /// per-tailer channels.
+    window: Arc<Window<Segments>>,
+    /// Self-handle so `&self` methods can hand background compaction tasks
+    /// an owned reference.
     self_ref: Weak<LogStore>,
-    /// Last assigned seq, published after every append — tailers park on
-    /// this instead of owning per-tailer channels.
-    append_watch: watch::Sender<u64>,
     /// Serializes background compaction (at most one task per store).
     compacting: AtomicBool,
     metrics: StoreMetrics,
@@ -82,9 +81,6 @@ pub struct LogStore {
 struct StoreMetrics {
     /// `knactor_log_appends_total{store}`
     appends: Arc<Counter>,
-    /// `knactor_log_tail_lagged_total{store}` — records truncated before
-    /// a tailer pulled them.
-    tail_lagged: Arc<Counter>,
     /// `knactor_log_compactions_total{store}`
     compactions: Arc<Counter>,
     /// `knactor_log_segments{store,kind}` for kind ∈ active|rows|columnar
@@ -96,6 +92,10 @@ struct StoreMetrics {
     /// `knactor_log_bytes_per_record{store}` (sealed payloads, approx)
     bytes_per_record: Arc<Gauge>,
 }
+
+/// The store's retained records — the sealed segments and the active one,
+/// behind the store lock: what every tail reads.
+pub struct Segments(Mutex<LogInner>);
 
 #[derive(Default)]
 struct LogInner {
@@ -119,9 +119,61 @@ impl LogInner {
     }
 }
 
+impl Segments {
+    /// Up to `max` retained records with `seq > after`, plus the oldest
+    /// retained seq: the one walk over the sealed and the active segments.
+    /// Sealed segments are snapshotted by `Arc` under the lock and
+    /// materialized outside it, so big reads never stall appenders.
+    fn walk(&self, after: u64, max: usize) -> (u64, Vec<LogRecord>) {
+        let (oldest, sealed, active) = {
+            let inner = self.0.lock();
+            let mut need = max;
+            let mut sealed = Vec::new();
+            for s in inner.sealed.iter().filter(|s| s.last_seq() > after) {
+                if need == 0 {
+                    break;
+                }
+                let from = after.max(s.first_seq().saturating_sub(1));
+                need = need.saturating_sub((s.last_seq() - from) as usize);
+                sealed.push(Arc::clone(s));
+            }
+            // The active segment is dense too: skip straight to `after + 1`.
+            let first = inner.active.first().map_or(u64::MAX, |r| r.seq);
+            let skip = after.saturating_add(1).saturating_sub(first) as usize;
+            let active = inner.active.iter().skip(skip).take(need).cloned();
+            (inner.oldest_seq(), sealed, active.collect::<Vec<_>>())
+        };
+        let mut out = Vec::new();
+        for s in &sealed {
+            out.extend(s.records_from(after));
+        }
+        out.extend(active);
+        out.truncate(max);
+        (oldest, out)
+    }
+}
+
+impl Retained for Segments {
+    type Item = TailEvent;
+
+    fn read_after(
+        &self,
+        after: u64,
+        max: usize,
+        out: &mut VecDeque<TailEvent>,
+    ) -> std::result::Result<(), u64> {
+        let (oldest, records) = self.walk(after, max);
+        if after.saturating_add(1) < oldest {
+            return Err(oldest);
+        }
+        out.extend(records.into_iter().map(TailEvent::Record));
+        Ok(())
+    }
+}
+
 impl std::fmt::Debug for LogStore {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let inner = self.inner.lock();
+        let inner = self.inner();
         f.debug_struct("LogStore")
             .field("id", &self.id)
             .field("records", &inner.total)
@@ -142,7 +194,6 @@ impl LogStore {
         let reg = metrics::global();
         let metrics = StoreMetrics {
             appends: reg.counter("knactor_log_appends_total", labels),
-            tail_lagged: reg.counter("knactor_log_tail_lagged_total", labels),
             compactions: reg.counter("knactor_log_compactions_total", labels),
             seg_active: reg.gauge(
                 "knactor_log_segments",
@@ -159,16 +210,20 @@ impl LogStore {
             retained_bytes: reg.gauge("knactor_log_retained_bytes", labels),
             bytes_per_record: reg.gauge("knactor_log_bytes_per_record", labels),
         };
-        let (append_watch, _) = watch::channel(0);
+        let segments = Segments(Mutex::new(LogInner {
+            next_seq: 1,
+            ..Default::default()
+        }));
+        let window = Window::new(
+            segments,
+            reg.gauge("knactor_log_tail_depth", labels),
+            reg.counter("knactor_log_tail_cutoffs_total", labels),
+        );
         Arc::new_cyclic(|weak| LogStore {
             id,
             config,
-            inner: Mutex::new(LogInner {
-                next_seq: 1,
-                ..Default::default()
-            }),
+            window,
             self_ref: weak.clone(),
-            append_watch,
             compacting: AtomicBool::new(false),
             metrics,
         })
@@ -182,10 +237,8 @@ impl LogStore {
         &self.config
     }
 
-    fn strong(&self) -> Arc<LogStore> {
-        self.self_ref
-            .upgrade()
-            .expect("LogStore is always constructed inside an Arc")
+    fn inner(&self) -> MutexGuard<'_, LogInner> {
+        self.window.retained().0.lock()
     }
 
     pub(crate) fn strong_opt(&self) -> Option<Arc<LogStore>> {
@@ -193,11 +246,10 @@ impl LogStore {
     }
 
     /// Bound retained records; excess oldest sealed segments are dropped
-    /// on the next append. Tailers that already pulled those records are
-    /// unaffected; tailers that had not yet pulled them observe a
-    /// [`TailEvent::Lagged`] resume point.
+    /// on the next append. Tails that already read those records are
+    /// unaffected; a tail that had not falls off (see [`LogStore::tail`]).
     pub fn set_retention(&self, max_records: Option<usize>) {
-        self.inner.lock().retain_max = max_records;
+        self.inner().retain_max = max_records;
     }
 
     fn wrap(fields: Value) -> Value {
@@ -215,7 +267,7 @@ impl LogStore {
         let mut sealed_new = None;
         let seq;
         {
-            let mut inner = self.inner.lock();
+            let mut inner = self.inner();
             seq = inner.next_seq;
             inner.next_seq += 1;
             inner.active.push(LogRecord { seq, fields });
@@ -229,7 +281,7 @@ impl LogStore {
         if let Some(seg) = sealed_new {
             self.after_seal(seg);
         }
-        let _ = self.append_watch.send(seq);
+        self.window.announce(seq);
         seq
     }
 
@@ -240,7 +292,7 @@ impl LogStore {
         let mut appended: u64 = 0;
         let last;
         {
-            let mut inner = self.inner.lock();
+            let mut inner = self.inner();
             last = {
                 let mut last = inner.next_seq.saturating_sub(1);
                 for fields in batch {
@@ -264,7 +316,7 @@ impl LogStore {
             self.after_seal(seg);
         }
         if appended > 0 {
-            let _ = self.append_watch.send(last);
+            self.window.announce(last);
         }
         last
     }
@@ -312,7 +364,7 @@ impl LogStore {
         old: &Arc<SealedSegment>,
         new: Arc<SealedSegment>,
     ) -> bool {
-        let mut inner = self.inner.lock();
+        let mut inner = self.inner();
         match inner.sealed.iter().position(|s| Arc::ptr_eq(s, old)) {
             Some(pos) => {
                 inner.sealed[pos] = new;
@@ -327,7 +379,7 @@ impl LogStore {
     /// with the single merged segment `new`. Returns whether the splice
     /// happened (a concurrent retention drop aborts it).
     pub(crate) fn replace_run(&self, old: &[Arc<SealedSegment>], new: Arc<SealedSegment>) -> bool {
-        let mut inner = self.inner.lock();
+        let mut inner = self.inner();
         let Some(first) = old.first() else {
             return false;
         };
@@ -354,7 +406,7 @@ impl LogStore {
 
     /// Snapshot the sealed run for compaction candidate selection.
     pub(crate) fn sealed_snapshot(&self) -> Vec<Arc<SealedSegment>> {
-        self.inner.lock().sealed.clone()
+        self.inner().sealed.clone()
     }
 
     fn update_gauges_locked(&self, inner: &LogInner) {
@@ -379,33 +431,10 @@ impl LogStore {
             .set(bytes.checked_div(records).unwrap_or(0) as i64);
     }
 
-    /// All retained records with `seq > from`, in order. Sealed segments
-    /// are snapshotted by `Arc` under the lock and materialized outside
-    /// it, so big scans no longer stall appenders.
+    /// All retained records with `seq > from`, in order (from the oldest
+    /// retained one when `from` is behind the retention horizon).
     pub fn read_from(&self, from: u64) -> Vec<LogRecord> {
-        let (sealed, active) = {
-            let inner = self.inner.lock();
-            (
-                inner
-                    .sealed
-                    .iter()
-                    .filter(|s| s.last_seq() > from)
-                    .cloned()
-                    .collect::<Vec<_>>(),
-                inner
-                    .active
-                    .iter()
-                    .filter(|r| r.seq > from)
-                    .cloned()
-                    .collect::<Vec<_>>(),
-            )
-        };
-        let mut out = Vec::new();
-        for s in &sealed {
-            out.extend(s.records_from(from));
-        }
-        out.extend(active);
-        out
+        self.window.retained().walk(from, usize::MAX).1
     }
 
     /// Everything retained.
@@ -416,23 +445,23 @@ impl LogStore {
     /// Snapshot for query execution: sealed segments by `Arc` plus a
     /// clone of the (small, capacity-bounded) active tail.
     pub fn snapshot(&self) -> (Vec<Arc<SealedSegment>>, Vec<LogRecord>) {
-        let inner = self.inner.lock();
+        let inner = self.inner();
         (inner.sealed.clone(), inner.active.clone())
     }
 
     /// The sequence number of the most recent record (0 when empty).
     pub fn last_seq(&self) -> u64 {
-        self.inner.lock().next_seq - 1
+        self.inner().next_seq - 1
     }
 
     /// First retained sequence number (`last_seq + 1` when empty).
     pub fn oldest_seq(&self) -> u64 {
-        self.inner.lock().oldest_seq()
+        self.inner().oldest_seq()
     }
 
     /// Number of retained records.
     pub fn len(&self) -> usize {
-        self.inner.lock().total
+        self.inner().total
     }
 
     pub fn is_empty(&self) -> bool {
@@ -442,80 +471,29 @@ impl LogStore {
     /// Number of sealed segments `(total, columnar)` — observability and
     /// test hook.
     pub fn segment_counts(&self) -> (usize, usize) {
-        let inner = self.inner.lock();
+        let inner = self.inner();
         let columnar = inner.sealed.iter().filter(|s| s.is_columnar()).count();
         (inner.sealed.len(), columnar)
     }
 
     /// Approximate retained payload bytes across sealed segments.
     pub fn retained_bytes(&self) -> usize {
-        self.inner.lock().sealed.iter().map(|s| s.bytes()).sum()
+        self.inner().sealed.iter().map(|s| s.bytes()).sum()
     }
 
-    /// Bounded chunk for tail pulls: up to `max` records with
-    /// `seq > cursor`, plus the current oldest retained seq (for lag
-    /// detection). Sealed `Arc`s are materialized outside the lock.
-    fn tail_pull(&self, cursor: u64, max: usize) -> (u64, Vec<LogRecord>) {
-        let (oldest, sealed, active) = {
-            let inner = self.inner.lock();
-            let oldest = inner.oldest_seq();
-            let mut need = max as u64;
-            let mut sealed = Vec::new();
-            for s in &inner.sealed {
-                if s.last_seq() <= cursor {
-                    continue;
-                }
-                if need == 0 {
-                    break;
-                }
-                sealed.push(Arc::clone(s));
-                let from = cursor.max(s.first_seq().saturating_sub(1));
-                need = need.saturating_sub(s.last_seq() - from);
-            }
-            let active: Vec<LogRecord> = if need > 0 {
-                inner
-                    .active
-                    .iter()
-                    .filter(|r| r.seq > cursor)
-                    .take(need as usize)
-                    .cloned()
-                    .collect()
-            } else {
-                Vec::new()
-            };
-            (oldest, sealed, active)
-        };
-        let mut out = Vec::new();
-        for s in &sealed {
-            out.extend(s.records_from(cursor));
-            if out.len() >= max {
-                out.truncate(max);
-                return (oldest, out);
-            }
-        }
-        out.extend(active);
-        out.truncate(max);
-        (oldest, out)
-    }
-
-    /// Live subscription: replays retained records with `seq > from`,
-    /// then continues with new appends, in order.
-    ///
-    /// If `from` is already older than the retention window, replay
-    /// starts at the oldest retained record without comment (logs
-    /// tolerate holes by design — sensor telemetry is lossy). If records
-    /// are truncated *after* the subscription started but before the
-    /// tailer pulled them, the tailer gets a [`TailEvent::Lagged`] with
-    /// the count and the next available seq, and
-    /// `knactor_log_tail_lagged_total` counts the loss.
+    /// Follow records with `seq > from`: what is retained, then each
+    /// append as it lands. Once retention drops a record the tail had not
+    /// read — or if `from + 1` is behind the horizon already — it ends and
+    /// `lag_resume_from()` says where it stopped, as an Object-DE watch that
+    /// falls off its window does (`knactor_log_tail_cutoffs_total`).
     pub fn tail(&self, from: u64) -> TailRx {
-        TailRx {
-            watch: self.append_watch.subscribe(),
-            store: self.strong(),
-            cursor: from,
-            started: false,
-            buf: VecDeque::new(),
-        }
+        self.window.cursor(from)
+    }
+
+    /// [`LogStore::tail`], refusing a `from` behind the retention horizon
+    /// with [`Error::WatchTooOld`] instead of a tail that is over at once.
+    pub fn tail_from(&self, from: u64) -> Result<TailRx> {
+        self.window.open(from)
     }
 }
 
@@ -523,94 +501,20 @@ impl LogStore {
 #[derive(Debug, Clone, PartialEq)]
 pub enum TailEvent {
     Record(LogRecord),
-    /// Records in `(cursor, resume_from)` were truncated by retention
-    /// before this tailer pulled them; the stream resumes at
-    /// `resume_from`.
+    /// The `missed` records before `resume_from` were dropped by retention
+    /// before this tail read them; the stream continues at `resume_from`.
+    /// Said by the exchange's recovery of a tail that fell off
+    /// (`knactor_net::stream::establish`), never by a store's own tail.
     Lagged {
         missed: u64,
         resume_from: u64,
     },
 }
 
-/// Receiver side of a log tail.
-///
-/// *Pull-based*: it holds a cursor into the store and materializes
-/// bounded chunks on demand, so a slow consumer costs O(chunk) memory
-/// instead of an unbounded queue.
-pub struct TailRx {
-    store: Arc<LogStore>,
-    /// Last seq already delivered (records `> cursor` are pending).
-    cursor: u64,
-    /// Whether anything was pulled yet — the *initial* jump to the
-    /// retention horizon is the documented replay semantics, not lag.
-    started: bool,
-    buf: VecDeque<TailEvent>,
-    watch: watch::Receiver<u64>,
-}
-
-impl std::fmt::Debug for TailRx {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("TailRx")
-            .field("store", self.store.id())
-            .field("cursor", &self.cursor)
-            .finish()
-    }
-}
-
-impl TailRx {
-    fn pull(&mut self) {
-        let chunk = self.store.config.tail_chunk.max(1);
-        let (oldest, records) = self.store.tail_pull(self.cursor, chunk);
-        if oldest > self.cursor + 1 {
-            let missed = oldest - 1 - self.cursor;
-            if self.started {
-                self.store.metrics.tail_lagged.add(missed);
-                self.buf.push_back(TailEvent::Lagged {
-                    missed,
-                    resume_from: oldest,
-                });
-            }
-            self.cursor = oldest - 1;
-        }
-        self.started = true;
-        for r in records {
-            self.cursor = self.cursor.max(r.seq);
-            self.buf.push_back(TailEvent::Record(r));
-        }
-    }
-
-    /// Next event; `None` only once the store itself is gone and
-    /// everything it held has been delivered.
-    pub async fn recv(&mut self) -> Option<TailEvent> {
-        loop {
-            if let Some(event) = self.try_recv() {
-                return Some(event);
-            }
-            if self.watch.changed().await.is_err() {
-                return self.try_recv();
-            }
-        }
-    }
-
-    /// Non-blocking variant.
-    pub fn try_recv(&mut self) -> Option<TailEvent> {
-        if self.buf.is_empty() {
-            self.pull();
-        }
-        self.buf.pop_front()
-    }
-
-    /// Next record, skipping lag notices — for callers that only need
-    /// the data stream.
-    pub async fn recv_record(&mut self) -> Option<LogRecord> {
-        loop {
-            match self.recv().await? {
-                TailEvent::Record(r) => return Some(r),
-                TailEvent::Lagged { .. } => continue,
-            }
-        }
-    }
-}
+/// A log tail: the one [`Cursor`] over the store's segments. It holds at
+/// most one chunk of records, so a slow consumer costs O(chunk) memory,
+/// never an unbounded queue.
+pub type TailRx = Cursor<Segments>;
 
 /// Hosts many log stores (the Log DE of Fig. 4). Access control follows
 /// the same model as the Object exchange; verbs map as ingest→`create`,
@@ -825,6 +729,14 @@ mod tests {
         assert_eq!(log.oldest_seq(), first_retained);
     }
 
+    /// The next tailed record's seq.
+    async fn next_seq(rx: &mut TailRx) -> u64 {
+        match rx.recv().await {
+            Some(TailEvent::Record(r)) => r.seq,
+            other => panic!("expected a record, got {other:?}"),
+        }
+    }
+
     #[tokio::test]
     async fn tail_replays_then_follows() {
         let log = LogStore::new("t");
@@ -832,73 +744,66 @@ mod tests {
         log.append(json!({"i": 1}));
         let mut rx = log.tail(1);
         // Replay of seq 2.
-        assert_eq!(rx.recv_record().await.unwrap().seq, 2);
+        assert_eq!(next_seq(&mut rx).await, 2);
         // Live append.
         log.append(json!({"i": 2}));
-        assert_eq!(rx.recv_record().await.unwrap().seq, 3);
+        assert_eq!(next_seq(&mut rx).await, 3);
     }
 
+    /// Sealed segments, the active one and more than one read chunk.
     #[tokio::test]
-    async fn tail_crosses_sealed_segments() {
+    async fn tail_crosses_sealed_segments_and_chunks() {
         let log = LogStore::with_config(
             "t",
             LogConfig {
                 segment_capacity: 4,
-                tail_chunk: 3,
                 ..Default::default()
             },
         );
-        for i in 0..10 {
-            log.append(json!({"i": i}));
-        }
+        let n = knactor_types::window::CHUNK as u64 + 10;
+        log.append_batch((0..n).map(|i| json!({ "i": i })));
         let mut rx = log.tail(0);
-        for want in 1..=10u64 {
-            assert_eq!(rx.recv_record().await.unwrap().seq, want);
+        for want in 1..=n {
+            assert_eq!(next_seq(&mut rx).await, want);
         }
-        log.append(json!({"i": 10}));
-        assert_eq!(rx.recv_record().await.unwrap().seq, 11);
+        log.append(json!({"i": n}));
+        assert_eq!(next_seq(&mut rx).await, n + 1);
     }
 
+    /// Retention passing a tail's position is the one fall-off contract:
+    /// the tail ends, says where it stopped and is counted, and re-opening
+    /// from there is refused with the horizon.
     #[tokio::test]
-    async fn slow_tailer_gets_typed_lag() {
+    async fn a_tail_retention_passes_ends_and_says_where() {
         let log = LogStore::with_config(
-            "t",
+            "t/cut",
             LogConfig {
                 segment_capacity: 4,
                 ..Default::default()
             },
         );
+        let cutoffs = knactor_types::metrics::global()
+            .counter("knactor_log_tail_cutoffs_total", &[("store", "t/cut")]);
         log.append(json!({"i": 0}));
         let mut rx = log.tail(0);
-        // Pull the first record so the tail is "started".
-        assert_eq!(rx.recv_record().await.unwrap().seq, 1);
-        // Truncate everything the tailer hasn't pulled yet.
+        assert_eq!(next_seq(&mut rx).await, 1);
         log.set_retention(Some(4));
-        for i in 1..20 {
-            log.append(json!({"i": i}));
-        }
+        log.append_batch((1..20).map(|i| json!({ "i": i })));
         let oldest = log.oldest_seq();
         assert!(oldest > 2, "retention should have truncated");
-        match rx.recv().await.unwrap() {
-            TailEvent::Lagged {
-                missed,
-                resume_from,
-            } => {
-                assert_eq!(resume_from, oldest);
-                assert_eq!(missed, oldest - 2);
-            }
-            other => panic!("expected lag notice, got {other:?}"),
-        }
-        // Stream resumes at the oldest retained record.
-        assert_eq!(rx.recv_record().await.unwrap().seq, oldest);
-        let lagged = knactor_types::metrics::global()
-            .counter("knactor_log_tail_lagged_total", &[("store", "t")])
-            .get();
-        assert!(lagged >= oldest - 2);
+        assert_eq!(rx.recv().await, None);
+        assert_eq!(rx.lag_resume_from(), Some(1));
+        assert_eq!(cutoffs.get(), 1);
+        assert_eq!(
+            log.tail_from(1).unwrap_err(),
+            Error::WatchTooOld { from: 1, oldest }
+        );
+        let mut resumed = log.tail_from(oldest - 1).unwrap();
+        assert_eq!(next_seq(&mut resumed).await, oldest);
     }
 
     #[tokio::test]
-    async fn initial_horizon_jump_is_not_lag() {
+    async fn opening_behind_the_horizon_is_too_old() {
         let log = LogStore::with_config(
             "t",
             LogConfig {
@@ -910,13 +815,17 @@ mod tests {
         for i in 0..10 {
             log.append(json!({"i": i}));
         }
-        // Subscribing from 0 when seq 1.. is truncated replays from the
-        // horizon silently (documented semantics, not lag).
+        let oldest = log.oldest_seq();
+        assert_eq!(
+            log.tail_from(0).unwrap_err(),
+            Error::WatchTooOld { from: 0, oldest }
+        );
+        // The infallible opener hands back a tail that is already over.
         let mut rx = log.tail(0);
-        match rx.recv().await.unwrap() {
-            TailEvent::Record(r) => assert_eq!(r.seq, log.oldest_seq()),
-            other => panic!("expected record, got {other:?}"),
-        }
+        assert_eq!(rx.recv().await, None);
+        assert_eq!(rx.lag_resume_from(), Some(0));
+        // `read_from` is the same walk, unbounded and clamped to the horizon.
+        assert_eq!(log.read_from(0)[0].seq, oldest);
     }
 
     #[test]

@@ -191,7 +191,6 @@ fn row_store_matches_reference() {
             segment_capacity: 64,
             columnar: false,
             compaction: None,
-            ..Default::default()
         },
     );
     fill(&store, &telemetry(700));
@@ -206,7 +205,6 @@ fn columnar_store_matches_reference() {
             segment_capacity: 64,
             columnar: true,
             compaction: None,
-            ..Default::default()
         },
     );
     fill(&store, &telemetry(700));
@@ -224,7 +222,6 @@ fn columnar_and_row_rows_are_bit_identical() {
             segment_capacity: 32,
             columnar: false,
             compaction: None,
-            ..Default::default()
         },
     );
     let col = LogStore::with_config(
@@ -233,7 +230,6 @@ fn columnar_and_row_rows_are_bit_identical() {
             segment_capacity: 32,
             columnar: true,
             compaction: None,
-            ..Default::default()
         },
     );
     fill(&row, &records);
@@ -261,7 +257,6 @@ fn queries_racing_compaction_match_reference() {
                 min_segments: 2,
                 target_records: 64,
             }),
-            ..Default::default()
         },
     );
     fill(&store, &telemetry(900));

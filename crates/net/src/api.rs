@@ -31,8 +31,9 @@ pub fn watch_event(body: EventBody) -> Option<WatchEvent> {
     }
 }
 
-/// The log events of a stream — records plus typed `Lagged` resume points
-/// when retention outran the tailer; anything else ends it.
+/// The log events of a stream — records, plus the one typed `Lagged` a
+/// recovered tail starts with when retention passed its position
+/// ([`crate::stream::establish`]); anything else ends it.
 pub fn tail_event(body: EventBody) -> Option<TailEvent> {
     match body {
         EventBody::Record { record } => Some(TailEvent::Record(record)),
@@ -412,15 +413,6 @@ pub trait ExchangeApi: Exchange {
 
     // ---- replication control plane -------------------------------------------
     // Node-to-node and router-to-node operations, not composition surface.
-
-    /// Subscribe to a store's replication stream: every committed event
-    /// with revision > `from`, in order, as a raw watch stream.
-    fn repl_subscribe(&self, store: StoreId, from: Revision) -> BoxFuture<'_, Result<WatchRx>> {
-        typed(
-            self.open(Request::ReplSubscribe { store, from }),
-            watch_event,
-        )
-    }
 
     /// Report a follower's durably-staged high-water mark to the leader.
     fn repl_ack(

@@ -82,12 +82,12 @@ impl Router {
             return;
         };
         match body {
-            // The stream's last words. `WatchLagged`: this watch's cursor
+            // The stream's last words. `WatchLagged`: this stream's cursor
             // fell off the store's retained window; an unconsumed backlog
             // is exactly what left it behind, so there is nothing useful
             // to flush and the stream simply ends. A resumed stream
             // re-opens from its own position, which is never past
-            // `resume_from`, and is re-listed.
+            // `resume_from`, and is recovered (`stream::establish`).
             EventBody::WatchLagged { .. } => {
                 knactor_types::metrics::global()
                     .counter("knactor_client_watch_lagged_total", &[("role", "client")])

@@ -279,7 +279,9 @@ impl LocalExchange {
         }
     }
 
-    /// Open the stream a `Watch`, `ReplSubscribe` or `LogTail` names.
+    /// Open the stream a `Watch`, `ReplSubscribe` or `LogTail` names: a
+    /// cursor over the store's retained window, refused with
+    /// `WatchTooOld` when its start has already left it.
     pub fn open(&self, subject: &Subject, request: Request) -> Result<LocalStream> {
         match request {
             Request::Watch { store, from } => Ok(LocalStream::Watch(
@@ -294,7 +296,7 @@ impl LocalExchange {
                 self.object.store(&store)?.watch_from(from)?,
             )),
             Request::LogTail { store, from } => {
-                Ok(LocalStream::Tail(self.log.store(&store)?.tail(from)))
+                Ok(LocalStream::Tail(self.log.store(&store)?.tail_from(from)?))
             }
             other => Err(misrouted(&other, "open")),
         }
@@ -303,7 +305,8 @@ impl LocalExchange {
 
 /// A stream opened on a [`LocalExchange`]: the in-process subscription.
 /// The server's push pump and a loopback consumer read the same thing —
-/// a cursor over what the store retains — so neither buffers events.
+/// a cursor over what the store retains — so neither buffers events, and
+/// every kind ends the same way.
 pub enum LocalStream {
     Watch(WatchStream),
     Repl(StoreWatch),
@@ -314,19 +317,12 @@ fn object_body(event: WatchEvent) -> EventBody {
     EventBody::Object { event }
 }
 
-/// Lag markers ride the same stream as typed bodies so the client sees
-/// them in order relative to records.
-fn tail_body(event: TailEvent) -> EventBody {
-    match event {
-        TailEvent::Record(record) => EventBody::Record { record },
-        TailEvent::Lagged {
-            missed,
-            resume_from,
-        } => EventBody::Lagged {
-            missed,
-            resume_from,
-        },
-    }
+/// A store's tail yields records only (`Lagged` is `stream::establish`'s).
+fn record_body(event: TailEvent) -> Option<EventBody> {
+    let TailEvent::Record(record) = event else {
+        return None;
+    };
+    Some(EventBody::Record { record })
 }
 
 impl LocalStream {
@@ -335,7 +331,7 @@ impl LocalStream {
         match self {
             LocalStream::Watch(s) => s.recv().await.map(object_body),
             LocalStream::Repl(s) => s.recv().await.map(object_body),
-            LocalStream::Tail(t) => t.recv().await.map(tail_body),
+            LocalStream::Tail(t) => t.recv().await.and_then(record_body),
         }
     }
 
@@ -344,25 +340,23 @@ impl LocalStream {
         match self {
             LocalStream::Watch(s) => s.try_recv().map(object_body),
             LocalStream::Repl(s) => s.try_recv().map(object_body),
-            LocalStream::Tail(t) => t.try_recv().map(tail_body),
+            LocalStream::Tail(t) => t.try_recv().and_then(record_body),
         }
     }
 
-    /// The body that closes the stream: a watch that fell off the store's
-    /// retained window says how far it got, so the client re-lists from
-    /// there; an ordinary close says so plainly.
+    /// The body that closes the stream: a cursor that fell off its
+    /// store's retained window — watch, feed or tail alike — says where it
+    /// stopped, so the client recovers from there; an ordinary close says
+    /// so plainly.
     pub fn end(&self) -> EventBody {
-        let lag = match self {
+        let stopped = match self {
             LocalStream::Watch(s) => s.lag_resume_from(),
             LocalStream::Repl(s) => s.lag_resume_from(),
-            LocalStream::Tail(_) => None,
+            LocalStream::Tail(t) => t.lag_resume_from(),
         };
-        match lag {
-            Some(resume) => EventBody::WatchLagged {
-                resume_from: resume.0,
-            },
-            None => EventBody::Closed,
-        }
+        stopped.map_or(EventBody::Closed, |resume_from| EventBody::WatchLagged {
+            resume_from,
+        })
     }
 }
 

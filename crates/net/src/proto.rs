@@ -413,17 +413,20 @@ pub enum EventBody {
     Record {
         record: LogRecord,
     },
-    /// Retention truncated records the tailer never pulled; resume a
-    /// fresh tail from `resume_from` to continue without double-reads.
+    /// The `missed` records before `resume_from` were dropped by retention
+    /// before the tail read them; the stream continues at `resume_from`.
+    /// Said once, by the recovery of a tail that fell off
+    /// (`stream::establish`), never by a store.
     Lagged {
         missed: u64,
         resume_from: u64,
     },
-    /// This watch fell off the store's retained window (the subscriber
-    /// stopped reading while events kept committing): `resume_from` is
-    /// the last revision it was sent, and the next one is no longer
-    /// retained — `Watch { from: resume_from }` answers `watch_too_old`,
-    /// and the recovery is list + rewatch.
+    /// This stream's cursor — a watch, a replication feed or a log tail —
+    /// fell off its store's retained window (the subscriber stopped
+    /// reading while writes kept landing): `resume_from` is the last
+    /// position it was sent, and the next one is no longer retained — a
+    /// re-open from `resume_from` answers `watch_too_old`, and the recovery
+    /// is a re-list (watch) or one `Lagged` (tail).
     WatchLagged {
         resume_from: u64,
     },

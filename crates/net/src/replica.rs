@@ -4,11 +4,13 @@
 //! One node of a replica set is the **leader**; it serves every mutation
 //! and streams its committed event sequence (the same dense revision
 //! stream the WAL and watch history order) to **followers** over
-//! `ReplSubscribe`. Followers apply the stream through their own
-//! `apply_batch` path — so their stores, revisions and retained watch
-//! windows are indistinguishable from the leader's — and `ReplAck`
-//! their durably-staged high-water mark back. A `Replicated(n)` write
-//! acks to the client only once `n` followers have staged it.
+//! `ReplSubscribe`. Followers read it as an ordinary resumed stream
+//! ([`stream::resume`], the dense-sequence rule every stream uses), apply
+//! it through their own `apply_batch` path — so their stores, revisions
+//! and retained watch windows are indistinguishable from the leader's —
+//! and `ReplAck` their durably-staged high-water mark back. A
+//! `Replicated(n)` write acks to the client only once `n` followers have
+//! staged it.
 //!
 //! **Fencing.** Roles are guarded twice: follower nodes reject client
 //! mutations on replicated stores with [`Error::NotLeader`], and — the
@@ -30,7 +32,7 @@
 //! session and issues a `ReplWait` barrier before serving the session's
 //! read from a replica that has not provably caught up to it.
 
-use crate::api::{misrouted, BoxFuture, Exchange, ExchangeApi, ReplStatusInfo};
+use crate::api::{misrouted, watch_event, BoxFuture, Exchange, ExchangeApi, ReplStatusInfo};
 use crate::client::{recover_lost_ack, ResilientClient, RetryPolicy, TcpClient};
 use crate::fault::{FaultApi, FaultPlan};
 use crate::loopback::LoopbackClient;
@@ -38,10 +40,7 @@ use crate::proto::{Request, Response};
 use crate::server::ExchangeServer;
 use crate::stream::{self, Subscription};
 use knactor_rbac::Subject;
-use knactor_store::ApplyOutcome as CursorOutcome;
-use knactor_store::{
-    BatchOp, DataExchange, EventKind, FollowerCursor, ItemResult, ReplGroup, ReplState, WatchEvent,
-};
+use knactor_store::{BatchOp, DataExchange, EventKind, ItemResult, ReplState, WatchEvent};
 use knactor_types::{metrics, Error, Result, Revision, StoreId};
 use parking_lot::Mutex;
 use std::collections::HashMap;
@@ -343,6 +342,11 @@ fn op_of(event: &WatchEvent) -> BatchOp {
 /// the feed, the apply path, or the node's follower role ends; the
 /// session loop respawns it (resubscribing from the store's recovered
 /// revision), which is also the catch-up path after a follower crash.
+///
+/// The feed is an ordinary resumed stream ([`stream::resume`]) from what
+/// the store holds: the dense-sequence rule drops a redelivered event and
+/// re-opens on a lost one, so every batch applied here continues the
+/// store's revisions exactly.
 async fn replicate_store(
     object: Arc<DataExchange>,
     runtime: Arc<ReplRuntime>,
@@ -354,43 +358,24 @@ async fn replicate_store(
 ) {
     let Ok(local) = object.store(&id) else { return };
     'subscribe: while !shutdown.load(Ordering::Acquire) && !runtime.is_leader() {
-        let from = local.revision();
-        let mut cursor = FollowerCursor::at(from);
-        let mut rx = match client.repl_subscribe(id.clone(), from).await {
-            Ok(rx) => rx,
-            Err(_) => return, // connection-level problem; session handles it
+        let request = Request::ReplSubscribe {
+            store: id.clone(),
+            from: local.revision(),
         };
-        while let Some(first) = rx.recv().await {
+        let Ok(mut feed) = stream::resume(Arc::clone(&client) as _, request).await else {
+            return; // connection-level problem; session handles it
+        };
+        while let Some(first) = feed.recv().await {
             // Coalesce whatever else already arrived into one apply
             // batch (one group fsync + one ack on the follower).
-            let mut events = vec![first];
+            let mut events: Vec<WatchEvent> = watch_event(first).into_iter().collect();
             while events.len() < APPLY_BATCH_MAX {
-                match rx.try_recv() {
+                match feed.try_recv().and_then(watch_event) {
                     Some(event) => events.push(event),
                     None => break,
                 }
             }
-            let mut ops = Vec::with_capacity(events.len());
-            let mut expected = Vec::with_capacity(events.len());
-            for event in &events {
-                // Classify per event: replays after resubscription may
-                // overlap what this store already holds.
-                match cursor.offer(&ReplGroup::new(vec![event.clone()])) {
-                    CursorOutcome::Apply { .. } => {
-                        ops.push(op_of(event));
-                        expected.push(event.revision);
-                    }
-                    CursorOutcome::Duplicate => {}
-                    CursorOutcome::Gap { .. } => {
-                        // A frame went missing: resubscribe from what we
-                        // actually hold rather than tear a hole.
-                        continue 'subscribe;
-                    }
-                }
-            }
-            if ops.is_empty() {
-                continue;
-            }
+            let ops = events.iter().map(op_of).collect();
             let applied = match apply.batch_commit(id.clone(), ops).await {
                 Ok(items) => items,
                 Err(_) => continue 'subscribe, // e.g. WAL crash injection; re-sync
@@ -399,14 +384,14 @@ async fn replicate_store(
             // divergence means its state drifted (or a crash point fired
             // mid-batch) and the only safe continuation is a fresh
             // subscription from what the store really holds.
-            let clean = applied.len() == expected.len()
-                && applied.iter().zip(&expected).all(|(item, want)| {
-                    matches!(item, ItemResult::Revision { revision } if revision == want)
+            let clean = applied.len() == events.len()
+                && applied.iter().zip(&events).all(|(item, event)| {
+                    matches!(item, ItemResult::Revision { revision } if *revision == event.revision)
                 });
-            if !clean {
-                continue 'subscribe;
-            }
-            let high = *expected.last().expect("non-empty batch");
+            let high = match events.last() {
+                Some(last) if clean => last.revision,
+                _ => continue 'subscribe,
+            };
             if client
                 .repl_ack(id.clone(), follower.clone(), high)
                 .await

@@ -12,9 +12,13 @@
 //! Each stream concern is written once, here:
 //!
 //! * [`resume`] — the dense-sequence rule ([`dense`]) and the stream-end
-//!   rule over any [`Exchange`] that says how to open from a position;
-//! * [`establish`] — open from a position, falling back to the one
-//!   re-list ([`Position::relist`]) on [`Error::WatchTooOld`];
+//!   rule over any [`Exchange`] that says how to open from a position, for
+//!   client watches, log tails and a follower's replication feed alike;
+//! * [`establish`] — open from a position, and the one place a position
+//!   that has left its store's retained window is recovered (every store
+//!   cursor has the same fall-off contract, `knactor_types::window`): a
+//!   watch re-lists ([`Position::relist`]), a tail jumps to the retention
+//!   horizon behind one typed `Lagged`;
 //! * [`Merge`] — n streams polled round-robin, ending when any ends.
 
 use crate::api::{misrouted, BoxFuture, Exchange, ExchangeApi};
@@ -149,13 +153,12 @@ impl<T> Merge<T> {
 /// from.
 #[derive(Default)]
 pub struct Position {
-    /// Last revision (watch) or sequence number (tail) delivered.
+    /// Last revision (watch, replication feed) or sequence number (tail)
+    /// delivered.
     at: u64,
     /// Watch only: the keys believed alive, so a re-list can report the
     /// ones that vanished while the watch was down.
     known: BTreeSet<ObjectKey>,
-    /// Nothing has arrived since the stream was (re)opened.
-    fresh: bool,
 }
 
 /// What the dense-sequence rule makes of one event.
@@ -183,34 +186,30 @@ fn dense(cursor: u64, at: u64) -> Verdict {
 }
 
 impl Position {
-    pub fn at(at: u64) -> Position {
-        Position {
+    /// Where `request` — a `Watch`, `ReplSubscribe` or `LogTail` — starts.
+    pub fn of(request: &Request) -> Result<Position> {
+        let at = match request {
+            Request::Watch { from, .. } | Request::ReplSubscribe { from, .. } => from.0,
+            Request::LogTail { from, .. } => *from,
+            other => return Err(misrouted(other, "a stream")),
+        };
+        Ok(Position {
             at,
             ..Position::default()
-        }
+        })
     }
 
     /// Judge `body` against the cursor and, when it is to be delivered,
     /// move past it. `resumed`: see [`Subscription`].
     fn admit(&mut self, body: &EventBody, resumed: bool) -> Verdict {
-        let fresh = std::mem::take(&mut self.fresh);
         let (at, verdict) = match body {
             EventBody::Object { event } => (event.revision.0, dense(self.at, event.revision.0)),
-            // A log whose retention window has moved past the resume point
-            // replays from its oldest retained record without comment, so a
-            // forward jump at the *start* of a (re)opened tail is the
-            // retention horizon, not a lost frame.
-            EventBody::Record { record } => match dense(self.at, record.seq) {
-                Verdict::Gap if fresh => (record.seq, Verdict::Deliver),
-                verdict => (record.seq, verdict),
-            },
-            // Retention truncated records this tail never pulled: pass the
-            // typed notice on and jump the cursor, so the records after it
-            // are not mistaken for a lost-frame gap.
-            EventBody::Lagged { resume_from, .. } if *resume_from > self.at + 1 => {
-                (resume_from - 1, Verdict::Deliver)
+            EventBody::Record { record } => (record.seq, dense(self.at, record.seq)),
+            // An inner resumed stream's own recovery (only [`establish`]
+            // says `Lagged`): pass it on and jump the cursor with it.
+            EventBody::Lagged { resume_from, .. } => {
+                (resume_from.saturating_sub(1), Verdict::Deliver)
             }
-            EventBody::Lagged { .. } => return Verdict::Duplicate,
             // The stream's last words: treat like its end.
             EventBody::WatchLagged { .. } | EventBody::Closed => return Verdict::Gap,
         };
@@ -261,24 +260,32 @@ impl Position {
     }
 }
 
-/// Synthetic re-list events to deliver first, then the live stream.
+/// Synthetic recovery events to deliver first, then the live stream.
 pub type Established = (VecDeque<EventBody>, Subscription);
 
-/// Open `request` (a `Watch` or a `LogTail`) from `position` instead of
-/// its own `from`. A watch position that has fallen out of the store's
-/// bounded history ([`Error::WatchTooOld`]) falls back to the re-list and
-/// opens from the listing revision — which on a busy store may be too old
-/// again by then, and is then simply re-listed again.
+/// Open `request` (a `Watch`, `ReplSubscribe` or `LogTail`) from `position`
+/// instead of its own `from` — the one place a position that has left its
+/// store's retained window ([`Error::WatchTooOld`]) is recovered:
+///
+/// * a watch re-lists and opens from the listing revision — which on a
+///   busy store may be too old again by then, and is then re-listed again;
+/// * a tail's records are gone: it opens from the retention horizon, and
+///   the one `Lagged { missed, resume_from }` queued ahead of the stream
+///   says how many records it lost;
+/// * a replication feed has no recovery here: its follower re-syncs.
 pub async fn establish(
     exchange: &dyn Exchange,
     request: &Request,
     position: &mut Position,
 ) -> Result<Established> {
     let mut synthetic = VecDeque::new();
+    let start = position.at;
     loop {
         let mut request = request.clone();
         match &mut request {
-            Request::Watch { from, .. } => *from = Revision(position.at),
+            Request::Watch { from, .. } | Request::ReplSubscribe { from, .. } => {
+                *from = Revision(position.at)
+            }
             Request::LogTail { from, .. } => *from = position.at,
             _ => {}
         }
@@ -287,8 +294,16 @@ pub async fn establish(
                 let (objects, revision) = exchange.list(store).await?;
                 synthetic.extend(position.relist(objects, revision));
             }
-            (opened, _) => {
-                position.fresh = true;
+            (Err(Error::WatchTooOld { oldest, .. }), Request::LogTail { .. }) => {
+                position.at = oldest - 1;
+            }
+            (opened, request) => {
+                if matches!(request, Request::LogTail { .. }) && position.at > start {
+                    synthetic.push_back(EventBody::Lagged {
+                        missed: position.at - start,
+                        resume_from: position.at + 1,
+                    });
+                }
                 return opened.map(|stream| (synthetic, stream));
             }
         }
@@ -317,18 +332,11 @@ enum State {
     Ended,
 }
 
-/// Open `request` on `exchange` as a stream that resumes (see [`Resume`]).
+/// Open `request` on `exchange` as a stream that resumes (see `Resume`).
 /// The first open happens here, so hard errors (forbidden, unknown store)
 /// reach the caller instead of silently ending the stream later.
-pub(crate) async fn resume(exchange: Arc<dyn Exchange>, request: Request) -> Result<Subscription> {
-    let from = match &request {
-        Request::Watch { from, .. } => from.0,
-        Request::LogTail { from, .. } => *from,
-        // Replication feeds resume from the follower's own applied
-        // revision, not from a client cursor: they ride raw connections.
-        other => return Err(misrouted(other, "a resumed open")),
-    };
-    let mut position = Position::at(from);
+pub async fn resume(exchange: Arc<dyn Exchange>, request: Request) -> Result<Subscription> {
+    let mut position = Position::of(&request)?;
     let (synthetic, stream) = establish(&*exchange, &request, &mut position).await?;
     let state = State::Live(stream);
     Ok(Subscription {

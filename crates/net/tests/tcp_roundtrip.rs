@@ -272,11 +272,13 @@ async fn a_dropped_stream_releases_its_server_side_subscription() {
     let server = test_server(&["s/x"], &["l/x"]).await.unwrap();
     let client = client_for(&server, Subject::operator("c")).await;
     let store = server.object.store(&StoreId::new("s/x")).unwrap();
-    // A wait on state; the deadline only bounds a failure.
-    async fn released(what: &str, held: impl Fn() -> usize) {
+    // A wait on state; the deadline only bounds a failure. (The server
+    // counts a subscription once its reply is on the way, so even the
+    // count after an open is awaited.)
+    async fn held(what: &str, want: usize, count: impl Fn() -> usize) {
         let deadline = std::time::Instant::now() + Duration::from_secs(10);
-        while held() != 0 {
-            assert!(std::time::Instant::now() < deadline, "{what} still held");
+        while count() != want {
+            assert!(std::time::Instant::now() < deadline, "{what}: not {want}");
             tokio::time::sleep(Duration::from_millis(1)).await;
         }
     }
@@ -288,16 +290,22 @@ async fn a_dropped_stream_releases_its_server_side_subscription() {
         .create("s/x".into(), ObjectKey::new("k"), json!(1))
         .await
         .unwrap();
-    released("the store-side subscriber", || store.subscriber_count()).await;
+    held("the store-side subscriber", 0, || store.subscriber_count()).await;
 
     let tail = client.log_tail("l/x".into(), 0).await.unwrap();
-    assert_eq!(server.subscriptions(), 1);
+    held("the connection's subscription", 1, || {
+        server.subscriptions()
+    })
+    .await;
     drop(tail);
     client
         .log_append("l/x".into(), json!({"n": 1}))
         .await
         .unwrap();
-    released("the connection's subscription", || server.subscriptions()).await;
+    held("the connection's subscription", 0, || {
+        server.subscriptions()
+    })
+    .await;
     server.shutdown().await;
 }
 

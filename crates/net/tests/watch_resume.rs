@@ -15,11 +15,12 @@
 //! in order and exactly once. A stack that promises resume keeps that up
 //! across duplicated frames, lost frames, dead connections, a resume point
 //! behind the server's retained window (re-list; vanished keys arrive as
-//! `Deleted`) and log retention passing the cursor (`Lagged`). A stack
+//! `Deleted`) and log retention passing the cursor (one `Lagged`). A stack
 //! that does not promise it *ends* the stream (or refuses the open with a
 //! typed error) — it never stalls and never delivers a gap — and a
 //! re-open from the consumer's cursor continues without one, or is
-//! refused because that cursor has left the window.
+//! refused because that cursor has left the window: the one fall-off
+//! contract every store cursor has, watch and tail alike.
 //!
 //! Faults are scripted, not drawn: a [`Wire`] is a frame relay in front of
 //! a server that duplicates or drops exactly the next pushed event frame,
@@ -36,7 +37,7 @@ use knactor_net::{
 };
 use knactor_rbac::Subject;
 use knactor_store::{DataExchange, EngineProfile, EventKind, ReplState, WatchEvent};
-use knactor_types::{Error, ObjectKey, Revision, StoreId, Value};
+use knactor_types::{metrics, Error, ObjectKey, Revision, StoreId, Value};
 use serde_json::json;
 use std::collections::BTreeMap;
 use std::future::Future;
@@ -654,8 +655,12 @@ async fn resume_point_behind_history(rig: &Rig) {
     );
 }
 
-/// Log retention passes the tail's cursor: a typed `Lagged`, then dense
-/// from its resume point.
+/// Log retention passes the tail's cursor — the one fall-off contract, as
+/// `resume_point_behind_history` is for a watch. A stack that does not
+/// resume ends the tail (with a typed `WatchLagged` on the wire), and a
+/// re-open from the consumer's cursor is refused with `WatchTooOld`. A stack
+/// that resumes recovers: one `Lagged { missed, resume_from }`, then dense
+/// from the retention horizon.
 async fn retention_passes_the_cursor(rig: &Rig) {
     let cell = format!("{:?} / retention passes the cursor", rig.stack);
     let id = StoreId::new("c5/log");
@@ -674,23 +679,42 @@ async fn retention_passes_the_cursor(rig: &Rig) {
         .unwrap();
     let mut tail: TailRx = rig.api.log_tail(id.clone(), 0).await.unwrap();
     assert_eq!(within(&cell, tail.recv_record()).await.unwrap().seq, 1);
+    let typed_ends = || {
+        metrics::global()
+            .counter("knactor_client_watch_lagged_total", &[("role", "client")])
+            .get()
+    };
+    let typed_ends_before = typed_ends();
 
     for store in &stores {
         store.set_retention(Some(4));
     }
-    // One batch, one lock: the tail cannot pull in between.
+    // One batch, one lock: the tail cannot read in between.
     let batch = (1..20).map(|n| json!({"n": n})).collect();
     let last = rig.admin.log_append_batch(id.clone(), batch).await.unwrap();
     assert_eq!(last, 20, "{cell}");
     let oldest = stores.iter().map(|s| s.oldest_seq()).max().unwrap();
     assert!(oldest > 2, "{cell}: retention should have truncated");
-    let lagged = TailEvent::Lagged {
-        missed: oldest - 2,
-        resume_from: oldest,
-    };
-    assert_eq!(within(&cell, tail.recv()).await, Some(lagged), "{cell}");
-    for seq in oldest..=last {
-        assert_eq!(within(&cell, tail.recv_record()).await.unwrap().seq, seq);
+
+    if rig.resumes {
+        let lagged = TailEvent::Lagged {
+            missed: oldest - 2,
+            resume_from: oldest,
+        };
+        assert_eq!(within(&cell, tail.recv()).await, Some(lagged), "{cell}");
+        for seq in oldest..=last {
+            assert_eq!(within(&cell, tail.recv_record()).await.unwrap().seq, seq);
+        }
+    } else {
+        assert_eq!(within(&cell, tail.recv()).await, None, "{cell}: still open");
+        let err = rig.api.log_tail(id.clone(), 1).await.unwrap_err();
+        assert_eq!(err, Error::WatchTooOld { from: 1, oldest }, "{cell}");
+        let mut reopened = rig.api.log_tail(id, oldest - 1).await.unwrap();
+        let first = within(&cell, reopened.recv_record()).await.unwrap();
+        assert_eq!(first.seq, oldest, "{cell}");
+    }
+    if rig.wired() {
+        assert!(typed_ends() > typed_ends_before, "{cell}: no typed end");
     }
 }
 

@@ -91,13 +91,13 @@ impl WatchStream {
     pub fn try_recv(&mut self) -> Option<WatchEvent> {
         loop {
             if let Some(poller) = &mut self.poll {
-                if self.src.cursor() >= poller.horizon && Instant::now() >= poller.next_tick {
+                if self.src.position() >= poller.horizon.0 && Instant::now() >= poller.next_tick {
                     // Re-anchor on the actual tick so ticks never bunch
                     // up behind a consumer that was busy.
                     poller.next_tick = Instant::now() + poller.interval;
                     poller.horizon = self.handle.store.revision();
                 }
-                if self.src.cursor() >= poller.horizon {
+                if self.src.position() >= poller.horizon.0 {
                     return None;
                 }
             }
@@ -115,9 +115,10 @@ impl WatchStream {
         Some(event)
     }
 
-    /// `Some(cursor)` once this watch fell off the store's retained
-    /// window (see [`crate::store::StoreWatch::lag_resume_from`]).
-    pub fn lag_resume_from(&self) -> Option<Revision> {
+    /// `Some(revision)` once this watch fell off the store's retained
+    /// window: the last revision it handed out (see
+    /// [`crate::store::StoreWatch`]).
+    pub fn lag_resume_from(&self) -> Option<u64> {
         self.src.lag_resume_from()
     }
 }

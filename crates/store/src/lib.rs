@@ -49,7 +49,7 @@ pub use exchange::{DataExchange, TxOp};
 pub use handle::StoreHandle;
 pub use object::{RetentionPolicy, StoredObject};
 pub use profile::EngineProfile;
-pub use repl::{ApplyOutcome, FollowerCursor, ReplGroup, ReplState};
+pub use repl::ReplState;
 pub use shard::ShardMap;
 pub use store::ObjectStore;
 pub use udf::{Udf, UdfBinding};

@@ -1,27 +1,21 @@
 //! Leader/follower replication primitives for the Object-DE.
 //!
 //! Replication ships the leader's committed event stream — the same
-//! dense, per-commit [`WatchEvent`] sequence the WAL and the retained
+//! dense, per-commit `WatchEvent` sequence the WAL and the retained
 //! watch window already order — to followers, which apply it through
 //! their own `apply_batch` path so revisions and the window stay
 //! byte-identical to the leader's. The leader-side feed is an ordinary
-//! [`crate::store::StoreWatch`]: a follower that falls off the window is
-//! told so, it is never queued for.
+//! [`crate::store::StoreWatch`], and the follower reads it as an ordinary
+//! resumed stream (`knactor_net::stream::resume`): the dense-sequence rule
+//! that drops a redelivered event and re-opens on a lost one is the one
+//! every stream uses. A follower that falls off the window is told so, it
+//! is never queued for.
 //!
-//! The protocol surface here is deliberately transport-free so it can be
-//! property-tested in isolation (`crates/store/tests/prop_repl.rs`):
-//!
-//! * [`ReplGroup`] — a sealed, contiguous run of committed events, the
-//!   unit of shipping. Its id is its first revision; dense revisions
-//!   make the id an idempotency key with no extra bookkeeping.
-//! * [`FollowerCursor`] — the follower-side dedup/gap state machine.
-//!   Offered a group, it answers *apply (from offset k)*, *duplicate*,
-//!   or *gap*; duplicates are dropped, gaps force a resubscribe. This is
-//!   what makes redelivery and reordering safe.
-//! * [`ReplState`] — the leader-side ack table. Followers ack the
-//!   highest revision they have staged durably; a write with
-//!   `Durability::Replicated(n)` is acknowledged to the client only once
-//!   `n` followers have acked its revision (quorum release).
+//! What is replication's own lives here: [`ReplState`], the leader-side
+//! ack table. Followers ack the highest revision they have staged
+//! durably; a write with `Durability::Replicated(n)` is acknowledged to
+//! the client only once `n` followers have acked its revision (quorum
+//! release).
 //!
 //! Roles are a property of the *node*, not the store: every replicated
 //! store on a node shares the node's `leading` flag. On a follower the
@@ -29,7 +23,6 @@
 //! replication apply path never blocks on itself; promotion flips one
 //! atomic and every store on the node starts demanding quorum.
 
-use crate::event::WatchEvent;
 use knactor_types::metrics::{self, Counter, Gauge};
 use knactor_types::{Error, Result, Revision, StoreId};
 use parking_lot::Mutex;
@@ -45,112 +38,6 @@ use std::time::{Duration, Instant};
 /// and durable on the leader — identical to the crash-between-write-and-
 /// ack contract, which clients already disambiguate by OCC read-back.
 pub const REPL_ACK_TIMEOUT: Duration = Duration::from_secs(5);
-
-/// A sealed, contiguous run of committed events: the unit of
-/// leader→follower shipping. The group id is the first revision.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ReplGroup {
-    events: Vec<WatchEvent>,
-}
-
-impl ReplGroup {
-    /// Seal `events` into a group. Events must be non-empty and carry
-    /// consecutive revisions (the leader's commit order guarantees this;
-    /// the assert catches harness bugs, not runtime conditions).
-    pub fn new(events: Vec<WatchEvent>) -> ReplGroup {
-        assert!(!events.is_empty(), "a replication group holds >= 1 event");
-        for pair in events.windows(2) {
-            assert_eq!(
-                pair[1].revision.0,
-                pair[0].revision.0 + 1,
-                "replication groups are revision-contiguous"
-            );
-        }
-        ReplGroup { events }
-    }
-
-    /// Group id = first revision. Dense revisions make this idempotent:
-    /// redelivering a group can never re-apply events the follower holds.
-    pub fn id(&self) -> u64 {
-        self.events[0].revision.0
-    }
-
-    /// Revision of the last event in the group.
-    pub fn last(&self) -> u64 {
-        self.events[self.events.len() - 1].revision.0
-    }
-
-    pub fn events(&self) -> &[WatchEvent] {
-        &self.events
-    }
-
-    pub fn into_events(self) -> Vec<WatchEvent> {
-        self.events
-    }
-
-    pub fn len(&self) -> usize {
-        self.events.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        false
-    }
-}
-
-/// What a follower should do with an offered group.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ApplyOutcome {
-    /// Apply the events starting at offset `skip` (the first `skip`
-    /// events are already applied — a partial redelivery overlap).
-    Apply { skip: usize },
-    /// Every event in the group is already applied; drop it.
-    Duplicate,
-    /// The group starts past the follower's frontier; applying it would
-    /// tear a hole. The follower must resubscribe from `expected - 1`.
-    Gap { expected: u64 },
-}
-
-/// Follower-side dedup/gap cursor over the replicated revision stream.
-///
-/// `next` is the revision the follower needs next; everything below is
-/// applied. [`FollowerCursor::offer`] advances the cursor optimistically —
-/// callers that fail to apply must rebuild the cursor from the store's
-/// actual revision (which is what the resubscribe path does anyway).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FollowerCursor {
-    next: u64,
-}
-
-impl FollowerCursor {
-    /// Cursor for a follower whose store sits at `applied`.
-    pub fn at(applied: Revision) -> FollowerCursor {
-        FollowerCursor {
-            next: applied.0 + 1,
-        }
-    }
-
-    /// Highest revision this cursor has accepted.
-    pub fn applied(&self) -> Revision {
-        Revision(self.next - 1)
-    }
-
-    /// Classify `group` against the cursor and advance past it when it
-    /// (or its unapplied suffix) should be applied.
-    pub fn offer(&mut self, group: &ReplGroup) -> ApplyOutcome {
-        let (first, last) = (group.id(), group.last());
-        if last < self.next {
-            return ApplyOutcome::Duplicate;
-        }
-        if first > self.next {
-            return ApplyOutcome::Gap {
-                expected: self.next,
-            };
-        }
-        let skip = (self.next - first) as usize;
-        self.next = last + 1;
-        ApplyOutcome::Apply { skip }
-    }
-}
 
 /// Leader-side replication state for one store: which follower has
 /// durably staged up to which revision, and the condvar quorum waiters
@@ -280,48 +167,6 @@ impl ReplState {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::EventKind;
-    use knactor_types::ObjectKey;
-
-    fn group(first: u64, len: usize) -> ReplGroup {
-        let events = (0..len as u64)
-            .map(|i| WatchEvent {
-                revision: Revision(first + i),
-                kind: EventKind::Created,
-                key: ObjectKey::new(format!("k{}", first + i)),
-                value: Arc::new(serde_json::json!({"rev": first + i})),
-            })
-            .collect();
-        ReplGroup::new(events)
-    }
-
-    #[test]
-    fn cursor_applies_contiguous_groups() {
-        let mut cur = FollowerCursor::at(Revision::ZERO);
-        assert_eq!(cur.offer(&group(1, 3)), ApplyOutcome::Apply { skip: 0 });
-        assert_eq!(cur.offer(&group(4, 2)), ApplyOutcome::Apply { skip: 0 });
-        assert_eq!(cur.applied(), Revision(5));
-    }
-
-    #[test]
-    fn cursor_drops_duplicates_and_skips_overlap() {
-        let mut cur = FollowerCursor::at(Revision::ZERO);
-        assert_eq!(cur.offer(&group(1, 4)), ApplyOutcome::Apply { skip: 0 });
-        // Full redelivery: dropped.
-        assert_eq!(cur.offer(&group(1, 4)), ApplyOutcome::Duplicate);
-        // Partial overlap: only the unapplied suffix applies.
-        assert_eq!(cur.offer(&group(3, 4)), ApplyOutcome::Apply { skip: 2 });
-        assert_eq!(cur.applied(), Revision(6));
-    }
-
-    #[test]
-    fn cursor_rejects_gaps() {
-        let mut cur = FollowerCursor::at(Revision::ZERO);
-        assert_eq!(cur.offer(&group(1, 2)), ApplyOutcome::Apply { skip: 0 });
-        assert_eq!(cur.offer(&group(5, 1)), ApplyOutcome::Gap { expected: 3 });
-        // The gap did not advance the cursor.
-        assert_eq!(cur.applied(), Revision(2));
-    }
 
     #[test]
     fn quorum_is_nth_highest_ack() {

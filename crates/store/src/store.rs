@@ -6,7 +6,10 @@
 //! appends one WAL record. A watch is a cursor over that window — the
 //! only copy of recent events the store keeps: it starts at any revision
 //! still retained and reads every later event exactly once, in order, for
-//! as long as its next revision stays retained.
+//! as long as its next revision stays retained. The cursor is
+//! `knactor_types::window`'s, the one Log-DE tails are too, so a watch
+//! that falls off ends exactly as a tail does; the store supplies only
+//! [`History`], the read of up to n events after a revision.
 //!
 //! # Concurrency
 //!
@@ -32,7 +35,8 @@ use crate::object::{RetentionPolicy, StoredObject};
 use crate::profile::EngineProfile;
 use crate::repl::{ReplState, REPL_ACK_TIMEOUT};
 use crate::wal::Wal;
-use knactor_types::metrics::{self, Counter, Gauge, Histogram};
+use knactor_types::metrics::{self, Counter, Histogram};
+use knactor_types::window::{Cursor, Retained, Window};
 use knactor_types::{value, Error, ObjectKey, Result, Revision, Schema, StoreId, Value};
 use parking_lot::{Mutex, RwLock};
 use std::collections::{BTreeMap, VecDeque};
@@ -40,7 +44,6 @@ use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
-use tokio::sync::watch;
 
 /// Number of hash-partitioned object shards. A power of two so the shard
 /// index is a mask; sized for "more shards than cores that plausibly
@@ -87,10 +90,9 @@ pub struct ObjectStore {
     /// and the window append happen under it.
     commit: Mutex<()>,
     wal: Option<Arc<Wal>>,
-    window: Arc<Window>,
-    /// The one wake: the latest committed revision, sent once per single
-    /// op or batch with no store lock held.
-    commit_watch: watch::Sender<u64>,
+    /// The retained window and its one wake: the latest committed revision,
+    /// announced once per single op or batch with no store lock held.
+    window: Arc<Window<History>>,
     /// Leader-side replication ack table, attached by the node runtime
     /// when the store participates in a replica set.
     repl: Mutex<Option<Arc<ReplState>>>,
@@ -132,17 +134,11 @@ impl StoreMetrics {
     }
 }
 
-/// The retained window: the store's one copy of recent events, appended
-/// to by the committer and read by every [`StoreWatch`].
-struct Window {
-    ring: RwLock<Ring>,
-    /// Live watches on this window (`knactor_store_fanout_depth`).
-    live: Arc<Gauge>,
-    /// Watches that fell off the window (`knactor_store_watch_cutoffs_total`).
-    cutoffs: Arc<Counter>,
-}
+/// The store's retained window: the last `history_cap` committed events,
+/// dense in revision — the one copy of recent events the store keeps,
+/// appended to by the committer and read by every [`StoreWatch`].
+pub struct History(RwLock<Ring>);
 
-/// The last `cap` committed events, dense in revision.
 struct Ring {
     events: VecDeque<WatchEvent>,
     cap: usize,
@@ -151,101 +147,48 @@ struct Ring {
     head: Revision,
 }
 
-impl Ring {
-    /// The oldest revision still retained; `head + 1` when nothing is.
-    fn oldest(&self) -> Revision {
-        Revision(self.head.0 + 1 - self.events.len() as u64)
-    }
-
-    fn push(&mut self, event: WatchEvent) {
-        self.head = event.revision;
-        self.events.push_back(event);
-        while self.events.len() > self.cap {
-            self.events.pop_front();
+impl History {
+    fn push(&self, event: WatchEvent) {
+        let mut ring = self.0.write();
+        ring.head = event.revision;
+        ring.events.push_back(event);
+        while ring.events.len() > ring.cap {
+            ring.events.pop_front();
         }
     }
 }
 
-/// A live watch: a cursor over the store's retained window. It holds no
-/// events of its own, so a watch that is never read costs the store
-/// nothing, and a slow one is never ended while its next revision is
-/// still retained.
-///
-/// When `recv` returns `None`, [`StoreWatch::lag_resume_from`] says why:
-/// `Some(rev)` — the cursor fell off the window after delivering `rev`, so
-/// `watch_from(rev)` is [`Error::WatchTooOld`] and the recovery is
-/// [`ObjectStore::list`] plus a watch from the listing's revision;
-/// `None` — the store itself is gone.
-pub struct StoreWatch {
-    window: Arc<Window>,
-    wake: watch::Receiver<u64>,
-    /// Revision of the last event handed out; the next is `cursor + 1`.
-    cursor: Revision,
-    /// `cursor + 1` was found to have left the window: the stream is over.
-    lagged: bool,
-}
+impl Retained for History {
+    type Item = WatchEvent;
 
-impl StoreWatch {
-    /// Receive the next event, or `None` once the subscription ended.
-    pub async fn recv(&mut self) -> Option<WatchEvent> {
-        loop {
-            if let Some(event) = self.try_recv() {
-                return Some(event);
-            }
-            if self.lagged {
-                return None;
-            }
-            // `changed` compares against the version seen before the ring
-            // was read: a commit landing in between completes this wait.
-            self.wake.changed().await.ok()?;
-        }
-    }
-
-    /// The next event if it is already committed, without waiting.
-    pub fn try_recv(&mut self) -> Option<WatchEvent> {
-        if self.lagged {
-            return None;
-        }
-        let next = self.cursor.next();
-        let ring = self.window.ring.read();
-        if next > ring.head {
-            return None;
-        }
-        let Some(index) = next.0.checked_sub(ring.oldest().0) else {
-            self.lagged = true;
-            self.window.cutoffs.inc();
-            return None;
+    fn read_after(
+        &self,
+        after: u64,
+        max: usize,
+        out: &mut VecDeque<WatchEvent>,
+    ) -> std::result::Result<(), u64> {
+        let ring = self.0.read();
+        // `head + 1` when nothing is retained.
+        let oldest = ring.head.0 + 1 - ring.events.len() as u64;
+        let Some(skip) = after.saturating_add(1).checked_sub(oldest) else {
+            return Err(oldest);
         };
-        self.cursor = next;
-        Some(ring.events[index as usize].clone())
-    }
-
-    /// Revision of the last event this watch handed out.
-    pub fn cursor(&self) -> Revision {
-        self.cursor
-    }
-
-    /// `Some(cursor)` once this watch has fallen off the retained window
-    /// (the first missed revision is `cursor + 1`).
-    pub fn lag_resume_from(&self) -> Option<Revision> {
-        self.lagged.then_some(self.cursor)
+        let start = (skip as usize).min(ring.events.len());
+        out.extend(ring.events.range(start..).take(max).cloned());
+        Ok(())
     }
 }
 
-impl Drop for StoreWatch {
-    fn drop(&mut self) {
-        self.window.live.sub(1);
-    }
-}
-
-impl std::fmt::Debug for StoreWatch {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("StoreWatch")
-            .field("cursor", &self.cursor)
-            .field("lagged", &self.lagged)
-            .finish()
-    }
-}
+/// A live watch: the one [`Cursor`] over the store's retained window. It
+/// holds no more than a chunk of events, so a watch that is never read
+/// costs the store nothing, and a slow one is never ended while its next
+/// revision is still retained.
+///
+/// When `recv` returns `None` the cursor fell off the window:
+/// `lag_resume_from()` is the last revision it handed out, `watch_from` of
+/// that is [`Error::WatchTooOld`], and the recovery is [`ObjectStore::list`]
+/// plus a watch from the listing's revision.
+pub type StoreWatch = Cursor<History>;
 
 impl std::fmt::Debug for ObjectStore {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -286,15 +229,16 @@ impl ObjectStore {
         let store_metrics = StoreMetrics::for_store(&id);
         let reg = metrics::global();
         let label = [("store", id.as_str())];
-        let window = Arc::new(Window {
-            ring: RwLock::new(Ring {
-                events: VecDeque::new(),
-                cap: profile.history_cap,
-                head: revision,
-            }),
-            live: reg.gauge("knactor_store_fanout_depth", &label),
-            cutoffs: reg.counter("knactor_store_watch_cutoffs_total", &label),
-        });
+        let history = History(RwLock::new(Ring {
+            events: VecDeque::new(),
+            cap: profile.history_cap,
+            head: revision,
+        }));
+        let window = Window::new(
+            history,
+            reg.gauge("knactor_store_fanout_depth", &label),
+            reg.counter("knactor_store_watch_cutoffs_total", &label),
+        );
         Ok(ObjectStore {
             id,
             revision: AtomicU64::new(revision.0),
@@ -302,7 +246,6 @@ impl ObjectStore {
             commit: Mutex::new(()),
             wal,
             window,
-            commit_watch: watch::channel(revision.0).0,
             repl: Mutex::new(None),
             schema: Mutex::new(None),
             policy: Mutex::new(RetentionPolicy::Forever),
@@ -664,7 +607,7 @@ impl ObjectStore {
         };
         let pending = self.wal.as_ref().map(|wal| wal.stage(&event)).transpose()?;
         self.revision.store(rev.0, Ordering::Release);
-        self.window.ring.write().push(event);
+        self.window.retained().push(event);
         self.metrics.commit_seconds.observe(commit_start.elapsed());
         Ok((rev, pending))
     }
@@ -698,13 +641,13 @@ impl ObjectStore {
     /// Wake every blocked watcher and [`ObjectStore::revision_reached`]
     /// waiter. Called with no store lock held.
     fn announce(&self) {
-        let _ = self.commit_watch.send(self.revision().0);
+        self.window.announce(self.revision().0);
     }
 
     /// Wait until the store has committed (on a follower: applied) at least
     /// `rev`; returns the revision that satisfied it.
     pub async fn revision_reached(&self, rev: Revision) -> Revision {
-        let mut wake = self.commit_watch.subscribe();
+        let mut wake = self.window.subscribe();
         loop {
             let current = self.revision();
             if current >= rev {
@@ -723,23 +666,7 @@ impl ObjectStore {
     /// the window (the caller must [`ObjectStore::list`] and watch from
     /// the listing's revision).
     pub fn watch_from(&self, from: Revision) -> Result<StoreWatch> {
-        // Subscribed before the ring is first read: no commit can fall
-        // between "not in the ring yet" and "waiting for the wake".
-        let wake = self.commit_watch.subscribe();
-        let oldest = self.window.ring.read().oldest();
-        if from.next() < oldest {
-            return Err(Error::WatchTooOld {
-                from: from.0,
-                oldest: oldest.0,
-            });
-        }
-        self.window.live.add(1);
-        Ok(StoreWatch {
-            window: Arc::clone(&self.window),
-            wake,
-            cursor: from,
-            lagged: false,
-        })
+        self.window.open(from.0)
     }
 
     /// Convenience: watch everything from the beginning of history.
@@ -1254,7 +1181,7 @@ mod tests {
         );
         assert_eq!(
             slow.lag_resume_from(),
-            Some(Revision(2)),
+            Some(2),
             "first missed revision is 3"
         );
         assert!(slow.try_recv().is_none(), "and stays ended");
@@ -1294,10 +1221,7 @@ mod tests {
         assert_eq!(fresh.recv().await.unwrap().key, k("after"));
         assert!(unread.try_recv().is_none());
         assert!(unread.recv().await.is_none());
-        assert_eq!(
-            (unread.lag_resume_from(), cutoffs.get()),
-            (Some(Revision::ZERO), 1)
-        );
+        assert_eq!((unread.lag_resume_from(), cutoffs.get()), (Some(0), 1));
     }
 
     /// The wake is once per batch that committed something — a batch of
@@ -1309,7 +1233,7 @@ mod tests {
         use std::task::{Context, Waker};
         let s = store();
         s.create(k("a"), json!({"x": 1})).unwrap();
-        let mut wake = s.commit_watch.subscribe();
+        let mut wake = s.window.subscribe();
         let mut woken = || {
             let mut cx = Context::from_waker(Waker::noop());
             std::pin::pin!(wake.changed()).poll(&mut cx).is_ready()

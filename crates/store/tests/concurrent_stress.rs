@@ -2,13 +2,18 @@
 //! parallelism (writer pools, reader pools, live watchers) the engine
 //! must keep the same observable semantics as a single-mutex store —
 //! strictly monotonic gapless revisions, exactly-once in-order watch
-//! delivery, and OCC rejection of stale writes.
+//! delivery, and OCC rejection of stale writes. The lost-wake-up case is
+//! the test of the one retained-sequence cursor (`knactor_types::window`)
+//! and drives Log-DE tails beside Object-DE watches.
 
+use knactor_logstore::{LogStore, TailEvent};
 use knactor_store::{BatchOp, ObjectStore};
+use knactor_types::window::{Cursor, Retained};
 use knactor_types::{Error, ObjectKey, Revision};
 use serde_json::json;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
+use tokio::sync::mpsc::UnboundedSender;
 
 #[test]
 fn concurrent_writers_readers_and_watchers_preserve_invariants() {
@@ -241,58 +246,83 @@ fn watchers_survive_subscriber_churn() {
     assert_eq!(expect - 1, total, "mid-join watcher missed the tail");
 }
 
-/// The hazard a cursor design introduces: a watcher blocked in
-/// `recv().await` must be woken by the commit that lands between its
-/// "nothing after my cursor" read and its waker registration. A missed
-/// wake is repaired by the next commit, so it only shows when nothing
-/// follows: each round, four writer threads commit once at the same
-/// moment and then go quiet until every watcher has reported the round's
-/// last revision. Watchers see every revision, dense and in order. The
-/// wait is on state — the deadline only detects the hang.
+/// The hazard a cursor design introduces: a reader blocked in
+/// `recv().await` must be woken by the write that lands between its
+/// "nothing after my position" read and its waker registration. A missed
+/// wake is repaired by the next write, so it only shows when nothing
+/// follows: each round, four writer threads each commit once to an object
+/// store and append once to a log store at the same moment, then go quiet
+/// until every reader has reported the round's last position. The readers
+/// are the one cursor over both kinds of retained sequence — Object-DE
+/// watches and Log-DE tails — and see every position, dense and in order.
+/// The wait is on state — the deadline only detects the hang.
 #[tokio::test]
 async fn blocked_watchers_never_miss_a_wake() {
     const WRITERS: u64 = 4;
     const ROUNDS: u64 = 8000;
     const WATCHERS: usize = 6;
+    const TAILERS: usize = 2;
 
-    let store = Arc::new(ObjectStore::in_memory("stress/blocked"));
-    let (done_tx, mut done_rx) = tokio::sync::mpsc::unbounded_channel();
-    for _ in 0..WATCHERS {
-        let mut rx = store.watch().unwrap();
-        let done_tx = done_tx.clone();
+    /// Follow `cursor` through every position the writers make, reporting
+    /// the last one of each round.
+    fn follow<S: Retained>(
+        mut cursor: Cursor<S>,
+        position: fn(&S::Item) -> u64,
+        done: UnboundedSender<u64>,
+    ) {
         tokio::spawn(async move {
             for want in 1..=WRITERS * ROUNDS {
-                let e = rx.recv().await.expect("a live watch inside the window");
-                assert_eq!(e.revision, Revision(want), "dense, in order");
+                let item = cursor
+                    .recv()
+                    .await
+                    .expect("a live cursor inside the window");
+                assert_eq!(position(&item), want, "dense, in order");
                 if want % WRITERS == 0 {
-                    done_tx.send(want).unwrap();
+                    done.send(want).unwrap();
                 }
             }
         });
     }
 
+    let store = Arc::new(ObjectStore::in_memory("stress/blocked"));
+    let log = LogStore::new("stress/blocked");
+    let (done_tx, mut done_rx) = tokio::sync::mpsc::unbounded_channel();
+    for _ in 0..WATCHERS {
+        follow(store.watch().unwrap(), |e| e.revision.0, done_tx.clone());
+    }
+    for _ in 0..TAILERS {
+        let seq = |event: &TailEvent| match event {
+            TailEvent::Record(record) => record.seq,
+            lag => panic!("a store tail yields records, got {lag:?}"),
+        };
+        follow(log.tail(0), seq, done_tx.clone());
+    }
+
     for round in 0..ROUNDS {
         std::thread::scope(|scope| {
             for w in 0..WRITERS {
-                let store = &store;
+                let (store, log) = (&store, &log);
                 scope.spawn(move || {
-                    // Odd rounds go through `apply_batch` (one wake per batch).
+                    // Odd rounds go through the batch paths (one wake per
+                    // batch).
                     let key = ObjectKey::new(format!("w{w}-{round}"));
                     if round % 2 == 0 {
                         store.create(key, json!(round)).unwrap();
+                        log.append(json!({ "round": round }));
                     } else {
                         let value = json!(round);
                         store
                             .apply_batch(vec![BatchOp::Create { key, value }])
                             .unwrap();
+                        log.append_batch([json!({ "round": round })]);
                     }
                 });
             }
         });
-        for _ in 0..WATCHERS {
+        for _ in 0..WATCHERS + TAILERS {
             let reached = tokio::time::timeout(std::time::Duration::from_secs(30), done_rx.recv())
                 .await
-                .expect("a blocked watcher missed its wake-up");
+                .expect("a blocked reader missed its wake-up");
             assert_eq!(reached, Some((round + 1) * WRITERS));
         }
     }

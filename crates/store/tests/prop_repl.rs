@@ -1,142 +1,18 @@
-//! Property tests for the replication log protocol in isolation.
+//! Property test for the leader-side replication ack table.
 //!
-//! A model leader emits a dense sequence of committed events; an
-//! adversarial scheduler ships them to a model follower as groups that
-//! may be **duplicated**, **reordered**, or **truncated** (a prefix of a
-//! group lost in flight surfaces as the whole group dropped — groups are
-//! atomic frames). The follower classifies every delivery through
-//! [`FollowerCursor`] and applies only what the cursor admits.
-//!
-//! Properties:
-//!
-//! * **prefix integrity** — after any interleaving, the follower's
-//!   applied state is exactly a prefix of the leader's WAL order: same
-//!   events, same order, no holes, no duplicates;
-//! * **eventual parity** — if every group is eventually delivered at
-//!   least once, the follower reaches the leader's full sequence;
-//! * **ack monotonicity & quorum** — [`ReplState`] acks only move
-//!   forward per follower, and `quorum(n)` is exactly the nth-highest
-//!   follower position under any ack shuffle.
+//! [`ReplState`] acks only move forward per follower, and `quorum(n)` is
+//! exactly the nth-highest follower position under any ack shuffle. (What
+//! a follower applies — an exact dense prefix of the leader's sequence
+//! under duplicated, reordered and truncated delivery — is the stream
+//! resume rule's property: `crates/net/tests/prop_resume.rs`.)
 
-use knactor_store::{ApplyOutcome, EventKind, FollowerCursor, ReplGroup, ReplState, WatchEvent};
-use knactor_types::{ObjectKey, Revision, StoreId};
+use knactor_store::ReplState;
+use knactor_types::{Revision, StoreId};
 use proptest::prelude::*;
 use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 
-fn event(rev: u64) -> WatchEvent {
-    WatchEvent {
-        revision: Revision(rev),
-        kind: EventKind::Created,
-        key: ObjectKey::new(format!("k-{rev}")),
-        value: Arc::new(serde_json::json!({"rev": rev})),
-    }
-}
-
-/// Cut the dense sequence `1..=total` into contiguous groups with the
-/// given sizes (sizes are cycled and clamped to what remains).
-fn groups_of(total: u64, sizes: &[u64]) -> Vec<ReplGroup> {
-    let mut groups = Vec::new();
-    let mut next = 1u64;
-    let mut i = 0usize;
-    while next <= total {
-        let want = sizes[i % sizes.len()].max(1);
-        let len = want.min(total - next + 1);
-        groups.push(ReplGroup::new((next..next + len).map(event).collect()));
-        next += len;
-        i += 1;
-    }
-    groups
-}
-
-/// One adversarial delivery: which group, and whether this delivery is
-/// a duplicate of one already sent.
-#[derive(Debug, Clone)]
-struct Schedule {
-    /// Delivery order as indexes into the group list; indexes may repeat
-    /// (duplicates) and appear out of order (reordering). A truncated
-    /// tail (indexes never delivered) models lost groups.
-    order: Vec<usize>,
-}
-
-fn any_schedule() -> impl Strategy<Value = Schedule> {
-    // Raw indexes, mapped into range with `%` at use site. Up to ~3x the
-    // group count of deliveries: plenty of duplication and reordering
-    // room, with a truncated tail (never-delivered groups) when short.
-    proptest::collection::vec(any::<usize>(), 0..60).prop_map(|order| Schedule { order })
-}
-
-/// Drive one schedule through a model follower; return its applied
-/// sequence of revisions.
-fn run_follower_model(groups: &[ReplGroup], schedule: &Schedule) -> Vec<u64> {
-    let mut cursor = FollowerCursor::at(Revision::ZERO);
-    let mut applied: Vec<u64> = Vec::new();
-    for &g in &schedule.order {
-        let group = &groups[g];
-        match cursor.offer(group) {
-            ApplyOutcome::Apply { skip } => {
-                for e in group.events().iter().skip(skip) {
-                    applied.push(e.revision.0);
-                }
-            }
-            ApplyOutcome::Duplicate => {}
-            // A gap means the follower resubscribes from its applied
-            // position in the real system; the model simply refuses the
-            // out-of-order group (the scheduler may redeliver it later).
-            ApplyOutcome::Gap { .. } => {
-                cursor = FollowerCursor::at(Revision(*applied.last().unwrap_or(&0)));
-            }
-        }
-    }
-    applied
-}
-
 proptest! {
-    /// Any interleaving of duplicated / reordered / truncated group
-    /// deliveries leaves the follower holding an exact dense prefix of
-    /// the leader's sequence.
-    #[test]
-    fn follower_applies_exact_leader_prefix(
-        total in 1u64..60,
-        sizes in proptest::collection::vec(1u64..7, 1..4),
-        schedule in any_schedule(),
-    ) {
-        let groups = groups_of(total, &sizes);
-        let schedule = Schedule {
-            order: schedule.order.into_iter().map(|i| i % groups.len()).collect(),
-        };
-        let applied = run_follower_model(&groups, &schedule);
-        let expected: Vec<u64> = (1..=applied.len() as u64).collect();
-        prop_assert_eq!(
-            applied, expected,
-            "follower state must be a dense prefix: no holes, no duplicates, no reorders"
-        );
-    }
-
-    /// Delivering every group at least once — in any order, with any
-    /// duplication — always reaches full parity, provided the schedule
-    /// keeps retrying (as the real replicator's resubscribe loop does).
-    #[test]
-    fn eventual_delivery_reaches_parity(
-        total in 1u64..50,
-        sizes in proptest::collection::vec(1u64..6, 1..4),
-        shuffle in proptest::collection::vec(any::<usize>(), 0..40),
-    ) {
-        let groups = groups_of(total, &sizes);
-        // An arbitrary noisy prefix...
-        let mut order: Vec<usize> = shuffle.into_iter().map(|i| i % groups.len()).collect();
-        // ...followed by enough in-order rounds to guarantee coverage
-        // (the real system resubscribes from its cursor, which is an
-        // in-order redelivery of everything outstanding).
-        for round in 0..2 {
-            let _ = round;
-            order.extend(0..groups.len());
-        }
-        let applied = run_follower_model(&groups, &Schedule { order });
-        let expected: Vec<u64> = (1..=total).collect();
-        prop_assert_eq!(applied, expected, "full eventual delivery must reach parity");
-    }
-
     /// Acks only move forward, and the quorum revision is exactly the
     /// nth-highest follower position no matter how acks are shuffled.
     #[test]

@@ -13,6 +13,9 @@
 //! * [`metrics`] — the process-wide metrics registry (counters, gauges,
 //!   latency histograms) every layer instruments into; re-exported by
 //!   `knactor-core` as `core::metrics`.
+//! * [`window`] — the one [`window::Cursor`] over a dense, bounded,
+//!   retained sequence: what Object-DE watches, Log-DE tails and the
+//!   replication feed all read through.
 //! * [`error`] — the shared [`error::Error`] type.
 //!
 //! The paper externalizes each service's state into a data store hosted on
@@ -26,6 +29,7 @@ pub mod metrics;
 pub mod path;
 pub mod schema;
 pub mod value;
+pub mod window;
 
 pub use error::{Error, Result};
 pub use id::{KnactorId, ObjectKey, Revision, StoreId};
