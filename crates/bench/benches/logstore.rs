@@ -2,7 +2,7 @@
 //! dataflow operators (Fig. 4's telemetry path).
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
-use knactor_logstore::{AggFn, LogStore, Query};
+use knactor_logstore::{AggFn, LogConfig, LogStore, Query};
 use serde_json::json;
 
 fn bench_ingest(c: &mut Criterion) {
@@ -35,8 +35,17 @@ fn bench_ingest(c: &mut Criterion) {
     group.finish();
 }
 
-fn motion_log(n: usize) -> std::sync::Arc<LogStore> {
-    let log = LogStore::new("bench/motion");
+/// `n` motion records in segments of 100, sealed as row segments
+/// (`columnar: false`, the seed layout) or re-encoded columnar.
+fn motion_log(n: usize, columnar: bool) -> std::sync::Arc<LogStore> {
+    let log = LogStore::with_config(
+        "bench/motion",
+        LogConfig {
+            segment_capacity: 100,
+            columnar,
+            compaction: None,
+        },
+    );
     for i in 0..n {
         log.append(json!({
             "triggered": i % 3 == 0,
@@ -47,60 +56,43 @@ fn motion_log(n: usize) -> std::sync::Arc<LogStore> {
     log
 }
 
+/// The Sync operators over 1k records, once per sealed-segment layout:
+/// `row/*` against `columnar/*` is the Log-DE layout ablation. Below 4096
+/// records `run_store` stays on one thread, so a pair differs in layout
+/// only.
 fn bench_query_ops(c: &mut Criterion) {
     let mut group = c.benchmark_group("log_query_1k");
-    let log = motion_log(1000);
-
-    let filter = Query::new().filter("this.triggered == true").unwrap();
-    group.bench_function("filter", |b| {
-        b.iter(|| {
-            filter
-                .run(log.read_all().into_iter().map(|r| r.fields))
+    let queries = [
+        (
+            "filter",
+            Query::new().filter("this.triggered == true").unwrap(),
+        ),
+        ("rename", Query::new().rename("triggered", "motion")),
+        ("sort", Query::new().sort("sensitivity", true).unwrap()),
+        (
+            "aggregate_grouped",
+            Query::new()
+                .aggregate(Some("room"), AggFn::Sum, Some("sensitivity"), "total")
+                .unwrap(),
+        ),
+        (
+            "full_pipeline",
+            Query::new()
+                .filter("this.triggered == true")
                 .unwrap()
-        });
-    });
-
-    let rename = Query::new().rename("triggered", "motion");
-    group.bench_function("rename", |b| {
-        b.iter(|| {
-            rename
-                .run(log.read_all().into_iter().map(|r| r.fields))
-                .unwrap()
-        });
-    });
-
-    let sort = Query::new().sort("sensitivity", true).unwrap();
-    group.bench_function("sort", |b| {
-        b.iter(|| {
-            sort.run(log.read_all().into_iter().map(|r| r.fields))
-                .unwrap()
-        });
-    });
-
-    let agg = Query::new()
-        .aggregate(Some("room"), AggFn::Sum, Some("sensitivity"), "total")
-        .unwrap();
-    group.bench_function("aggregate_grouped", |b| {
-        b.iter(|| {
-            agg.run(log.read_all().into_iter().map(|r| r.fields))
-                .unwrap()
-        });
-    });
-
-    let pipeline = Query::new()
-        .filter("this.triggered == true")
-        .unwrap()
-        .rename("triggered", "motion")
-        .project(["motion", "room"])
-        .limit(100);
-    group.bench_function("full_pipeline", |b| {
-        b.iter(|| {
-            pipeline
-                .run(log.read_all().into_iter().map(|r| r.fields))
-                .unwrap()
-        });
-    });
-
+                .rename("triggered", "motion")
+                .project(["motion", "room"])
+                .limit(100),
+        ),
+    ];
+    for (layout, columnar) in [("row", false), ("columnar", true)] {
+        let log = motion_log(1000, columnar);
+        for (name, query) in &queries {
+            group.bench_function(&format!("{layout}/{name}"), |b| {
+                b.iter(|| query.run_store(&log).unwrap())
+            });
+        }
+    }
     group.finish();
 }
 

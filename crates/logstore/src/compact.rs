@@ -194,13 +194,29 @@ mod tests {
             min_segments: 2,
             target_records: 1024,
         }));
+        // The same records in row segments: the layout columnar replaces.
+        let rows = LogStore::with_config(
+            "rows",
+            LogConfig {
+                segment_capacity: 8,
+                columnar: false,
+                compaction: None,
+            },
+        );
         for i in 0..256 {
-            log.append(json!({"kind": "energy", "room": ["kitchen", "hall"][i % 2]}));
+            let record = json!({"kind": "energy", "room": ["kitchen", "hall"][i % 2]});
+            rows.append(record.clone());
+            log.append(record);
         }
         let before = log.retained_bytes();
         log.compact_now();
         let after = log.retained_bytes();
         assert!(after <= before, "merging repetitive data must not grow");
+        let row_bytes = rows.retained_bytes();
+        assert!(
+            2 * after <= row_bytes,
+            "compacted columnar retains {after} B, more than half of the rows' {row_bytes} B"
+        );
     }
 
     #[test]

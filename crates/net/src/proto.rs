@@ -52,15 +52,6 @@ pub enum ProfileSpec {
     Replicated {
         acks: usize,
     },
-    /// `Apiserver` plus a replication ack quorum: the paper-modelled
-    /// engine (fsync WAL, simulated per-op latencies) whose writes also
-    /// wait for `acks` followers. Use where the modelled per-op cost is
-    /// the per-node serial resource replicas must overlap — the bench's
-    /// replica-read sweep measures scaling on this engine for the same
-    /// reason the shard sweep does.
-    ReplicatedApiserver {
-        acks: usize,
-    },
 }
 
 impl ProfileSpec {
@@ -74,11 +65,6 @@ impl ProfileSpec {
             ProfileSpec::Replicated { acks } => EngineProfile::durable(data_dir, store.as_str())
                 .named("replicated")
                 .replicated(*acks),
-            ProfileSpec::ReplicatedApiserver { acks } => {
-                EngineProfile::apiserver(data_dir, store.as_str())
-                    .named("replicated-apiserver")
-                    .replicated(*acks)
-            }
         }
     }
 }
@@ -553,15 +539,13 @@ mod tests {
             "instant"
         );
         assert_eq!(ProfileSpec::Redis.materialize(&dir, &store).name, "redis");
-        let api = ProfileSpec::Apiserver.materialize(&dir, &store);
-        assert!(api.is_durable());
-        let repl_api = ProfileSpec::ReplicatedApiserver { acks: 1 }.materialize(&dir, &store);
-        assert!(repl_api.is_durable());
-        assert_eq!(repl_api.name, "replicated-apiserver");
-        assert_eq!(repl_api.repl_acks, 1);
-        // The modelled latencies carry over from the apiserver base.
-        assert_eq!(repl_api.read_delay, api.read_delay);
-        assert_eq!(repl_api.write_delay, api.write_delay);
+        assert!(ProfileSpec::Apiserver
+            .materialize(&dir, &store)
+            .is_durable());
+        let repl = ProfileSpec::Replicated { acks: 1 }.materialize(&dir, &store);
+        assert!(repl.is_durable());
+        assert_eq!(repl.name, "replicated");
+        assert_eq!(repl.repl_acks, 1);
     }
 
     #[test]

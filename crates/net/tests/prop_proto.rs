@@ -176,7 +176,7 @@ proptest! {
             0 => ProfileSpec::Instant,
             1 => ProfileSpec::Redis,
             2 => ProfileSpec::Replicated { acks },
-            3 => ProfileSpec::ReplicatedApiserver { acks },
+            3 => ProfileSpec::Durable,
             _ => ProfileSpec::Apiserver,
         };
         let back: ProfileSpec = decode(&encode(&spec).unwrap()).unwrap();

@@ -180,6 +180,75 @@ async fn apply_changing_one_edge_leaves_the_others_running() {
     composer.shutdown_all().await;
 }
 
+/// Applies under live traffic: while a producer streams records through
+/// the untouched sync, the cast edge C is flipped back and forth. Each
+/// apply reconfigures C alone, and every record reaches `out/log` exactly
+/// once — the sync's tail position carries across every swap.
+#[tokio::test(flavor = "multi_thread", worker_threads = 4)]
+async fn applies_under_traffic_lose_and_duplicate_no_record() {
+    const RECORDS: usize = 500;
+    const FLIPS: usize = 20;
+    let (_object, _log, client) = knactor::net::loopback::in_process(Subject::operator("live"));
+    let api: Arc<dyn ExchangeApi> = Arc::new(client);
+    setup_stores(&api).await;
+    let composition = |dxg| {
+        Composition::new()
+            .with_cast(Dxg::parse(dxg).unwrap(), bindings(), CastMode::Direct)
+            .with_sync(relay_sync())
+    };
+    let composer = Composer::new("swap", Arc::clone(&api));
+    composer.apply(composition(V1_DXG)).await.unwrap();
+
+    // The producer runs free and reports each `RECORDS / FLIPS` appends;
+    // flip k waits for the k-th report, so every apply lands mid-stream.
+    let (progress, mut reports) = tokio::sync::mpsc::unbounded_channel();
+    let producer_api = Arc::clone(&api);
+    let producer = tokio::spawn(async move {
+        for n in 0..RECORDS {
+            producer_api
+                .log_append("ev/log".into(), json!({"n": n}))
+                .await
+                .unwrap();
+            if (n + 1) % (RECORDS / FLIPS) == 0 {
+                let _ = progress.send(());
+            }
+        }
+    });
+    for flip in 0..FLIPS {
+        reports.recv().await.expect("producer stopped early");
+        let dxg = if flip % 2 == 0 { V2_DXG } else { V1_DXG };
+        let report = composer.apply(composition(dxg)).await.unwrap();
+        assert_eq!(report.reconfigured, vec!["cast:C"], "flip {flip}");
+        assert_eq!(report.untouched, vec!["cast:B", "sync:s1"], "flip {flip}");
+        assert_eq!(report.restarts(), 0, "flip {flip}: {report:?}");
+    }
+    producer.await.unwrap();
+    // Every apply was timed into the composer's registry histogram.
+    let applies = knactor::core::metrics::global()
+        .snapshot()
+        .histogram("knactor_composer_apply_seconds", &[("composer", "swap")])
+        .map(|h| h.count);
+    assert_eq!(applies, Some(FLIPS as u64 + 1));
+
+    knactor::testkit::await_log_records(&api, "out/log", RECORDS, Duration::from_secs(30))
+        .await
+        .unwrap();
+    composer.drain_all().await.unwrap();
+    let out = api.log_read("out/log".into(), 0).await.unwrap();
+    let mut delivered: Vec<u64> = out
+        .iter()
+        .map(|r| r.fields["m"].as_u64().unwrap())
+        .collect();
+    delivered.sort_unstable();
+    let expected: Vec<u64> = (0..RECORDS as u64).collect();
+    assert_eq!(
+        delivered, expected,
+        "records lost or duplicated across the swaps"
+    );
+
+    composer.shutdown_all().await;
+}
+
 /// An apply that dies half-way (the new edge's preflight hits a dead
 /// exchange) rolls back: the already-reconfigured edge gets its old
 /// config back, the half-spawned edge is gone, and every prior edge is

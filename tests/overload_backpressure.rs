@@ -18,16 +18,17 @@
 //! Seeded (`CHAOS_SEED`) like the rest of the chaos suite.
 
 use knactor::prelude::*;
-use knactor_loadgen::{driver, OpGen, RunConfig, WorkloadSpec};
 use knactor_net::client::{ResilientClient, RetryPolicy};
 use knactor_net::frame::{FrameReader, FrameWriter};
 use knactor_net::proto::{decode, encode, EventBody, Hello, Request, RequestEnvelope, ServerMsg};
 use knactor_net::server::ServerConfig;
-use knactor_net::{FaultPlan, FaultProxy, WatchRx};
+use knactor_net::{BoxFuture, FaultPlan, FaultProxy, FaultRng, WatchRx};
 use knactor_store::profile::WatchDelivery;
 use knactor_store::{EventKind, WatchEvent};
 use serde_json::json;
+use std::future::Future;
 use std::sync::Arc;
+use std::task::Poll;
 use std::time::Duration;
 
 fn seed() -> u64 {
@@ -224,6 +225,101 @@ where
     out.into_iter().map(|v| v.unwrap()).collect()
 }
 
+/// What one open-loop phase did with the ops it was offered.
+#[derive(Debug, Default)]
+struct Tally {
+    /// Ops sent to the server.
+    issued: u64,
+    /// Answered with a result, `NotFound` included (a read of a key no
+    /// patch has written yet).
+    ok: u64,
+    /// Typed `Overloaded`, shed by admission control before dispatch.
+    shed: u64,
+    /// Every other error.
+    errors: u64,
+    /// Due but never sent before the phase ended: offered load the server
+    /// could not absorb, not a failure.
+    unsent: u64,
+    /// Sent, and still unanswered when the drain window closed: a wedge.
+    abandoned: u64,
+}
+
+impl Tally {
+    fn record(&mut self, result: Result<()>) {
+        match result {
+            Ok(()) | Err(Error::NotFound(_)) => self.ok += 1,
+            Err(Error::Overloaded { .. }) => self.shed += 1,
+            Err(_) => self.errors += 1,
+        }
+    }
+}
+
+/// One op of the seeded mix: 70% `get`, 20% upsert-`patch`, 10%
+/// `batch_get` of 16, over 256 order keys.
+fn seeded_op<'a>(api: &'a dyn ExchangeApi, rng: &mut FaultRng) -> BoxFuture<'a, Result<()>> {
+    let store = StoreId::new("checkout/state");
+    let draw = rng.unit();
+    let mut key = || ObjectKey::new(format!("order-{:03}", rng.below(256)).as_str());
+    if draw < 0.7 {
+        let key = key();
+        Box::pin(async move { api.get(store, key).await.map(drop) })
+    } else if draw < 0.9 {
+        let key = key();
+        let value = json!({"order": {"amount": draw, "pad": "x".repeat(64)}});
+        Box::pin(async move { api.patch(store, key, value, true).await.map(drop) })
+    } else {
+        let keys = (0..16).map(|_| key()).collect();
+        Box::pin(async move { api.batch_get(store, keys).await.map(drop) })
+    }
+}
+
+/// One phase of the sweep, open loop: the `n`-th op falls due `n / rate`
+/// after the start whether or not earlier ops have answered, and goes out
+/// as soon as one of `WINDOW` in-flight slots is free. This one task polls every op
+/// in flight — the vendored runtime gives each task an OS thread, so a
+/// task per op would measure thread spawning, not the server.
+async fn open_loop(api: &dyn ExchangeApi, rng: &mut FaultRng, rate: f64, phase: Duration) -> Tally {
+    const WINDOW: usize = 64;
+    const DRAIN: Duration = Duration::from_secs(5);
+    let start = std::time::Instant::now();
+    let mut tally = Tally::default();
+    let mut in_flight: Vec<BoxFuture<'_, Result<()>>> = Vec::new();
+    let mut due = 0;
+    loop {
+        let elapsed = start.elapsed();
+        if elapsed < phase {
+            due = (rate * elapsed.as_secs_f64()) as u64;
+            while tally.issued < due && in_flight.len() < WINDOW {
+                in_flight.push(seeded_op(api, rng));
+                tally.issued += 1;
+            }
+        } else if in_flight.is_empty() || elapsed >= phase + DRAIN {
+            break;
+        }
+        // Until an op answers or the next 1 ms tick, whichever is first.
+        let mut tick = std::pin::pin!(tokio::time::sleep(Duration::from_millis(1)));
+        std::future::poll_fn(|cx| {
+            let before = in_flight.len();
+            in_flight.retain_mut(|op| match op.as_mut().poll(cx) {
+                Poll::Ready(result) => {
+                    tally.record(result);
+                    false
+                }
+                Poll::Pending => true,
+            });
+            if in_flight.len() < before || tick.as_mut().poll(cx).is_ready() {
+                Poll::Ready(())
+            } else {
+                Poll::Pending
+            }
+        })
+        .await;
+    }
+    tally.unsent = due - tally.issued;
+    tally.abandoned = in_flight.len() as u64;
+    tally
+}
+
 /// An open-loop sweep far past capacity, through the fault proxy, must
 /// degrade (latency, shedding, lower achieved rate) — never wedge.
 #[tokio::test(flavor = "multi_thread", worker_threads = 4)]
@@ -257,25 +353,20 @@ async fn saturating_rate_sweep_degrades_but_never_wedges() {
     let client = TcpClient::connect(proxy.local_addr(), Subject::operator("sweep"))
         .await
         .unwrap();
-    let api: Arc<dyn ExchangeApi> = Arc::new(client);
-    let mut gen = OpGen::new(WorkloadSpec::retail(seed));
+    let mut rng = FaultRng::new(seed);
 
     // Well under, then far over what the store can serve through one
     // serialized connection.
     for (label, rate) in [("under", 400.0), ("over", 20_000.0)] {
-        let cfg = RunConfig::new(label, rate, Duration::from_millis(600));
-        let outcome = driver::run(Arc::clone(&api), proxy.local_addr(), &mut gen, &cfg).await;
-        eprintln!(
-            "{label}: issued={} ok={} shed={} errors={} abandoned={}",
-            outcome.issued, outcome.ok, outcome.shed, outcome.errors, outcome.abandoned
-        );
-        assert!(outcome.ok > 0, "{label}: nothing completed (seed {seed})");
+        let tally = open_loop(&client, &mut rng, rate, Duration::from_millis(600)).await;
+        eprintln!("{label}: {tally:?}");
+        assert!(tally.ok > 0, "{label}: nothing completed (seed {seed})");
         assert_eq!(
-            outcome.errors, 0,
+            tally.errors, 0,
             "{label}: untyped errors under clean-network overload (seed {seed})"
         );
         assert_eq!(
-            outcome.abandoned, 0,
+            tally.abandoned, 0,
             "{label}: operations wedged past the drain window (seed {seed})"
         );
     }
