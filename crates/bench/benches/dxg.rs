@@ -128,7 +128,6 @@ async fn activation_setup(mode: CastMode) -> (Arc<dyn ExchangeApi>, Cast, CastCo
         dxg: Dxg::parse(FIG6_RETAIL_DXG).unwrap(),
         bindings,
         mode,
-        coalesce: 1,
     };
     let cast = Cast::new(Arc::clone(&api));
     (api, cast, config)

@@ -5,7 +5,6 @@
 //! knactorctl schema show <file>           parse and re-render a schema
 //! knactorctl dxg validate <file>          parse a DXG spec and run static analysis
 //! knactorctl dxg plan <file>              show the consolidated execution plan
-//! knactorctl plan --explain <file>        score execution candidates per edge (cost model)
 //! knactorctl dxg udf <file>               export the DXG as pushdown UDF assignments
 //! knactorctl diff <old> <new>             diff two DXGs + composer dry-run of edge actions
 //! knactorctl codegen <schema-file>        generate typed Rust accessors
@@ -29,9 +28,6 @@ fn main() -> ExitCode {
         ["schema", "show", file] => schema_show(file),
         ["dxg", "validate", file] => dxg_validate(file),
         ["dxg", "plan", file] => dxg_plan(file),
-        ["plan", "--explain", file]
-        | ["plan", file, "--explain"]
-        | ["dxg", "plan", "--explain", file] => plan_explain(file),
         ["dxg", "udf", file] => dxg_udf(file),
         ["dxg", "diff", old, new] => dxg_diff(old, new),
         ["diff", old, new] => composer_diff(old, new),
@@ -63,7 +59,6 @@ fn usage() -> String {
      \u{20}   knactorctl schema show <file>\n\
      \u{20}   knactorctl dxg validate <file>\n\
      \u{20}   knactorctl dxg plan <file>\n\
-     \u{20}   knactorctl plan --explain <file>\n\
      \u{20}   knactorctl dxg udf <file>\n\
      \u{20}   knactorctl dxg diff <old> <new>\n\
      \u{20}   knactorctl diff <old> <new>\n\
@@ -114,16 +109,29 @@ fn serve_cmd(rest: &[&str]) -> ExitCode {
             }
         }
     }
+    if replicas.is_some() && shards != 1 {
+        eprintln!("--replicas and --shards are exclusive: a node set either shards or replicates");
+        return ExitCode::FAILURE;
+    }
+    let nodes = replicas.map_or(shards, |followers| followers.saturating_add(1));
+    if last_port(port, nodes).is_none() {
+        eprintln!(
+            "--port {port} leaves no room for {nodes} nodes on consecutive ports \
+             (the last would pass 65535): lower --port, --shards or --replicas"
+        );
+        return ExitCode::FAILURE;
+    }
     match replicas {
-        Some(_) if shards != 1 => {
-            eprintln!(
-                "--replicas and --shards are exclusive: a node set either shards or replicates"
-            );
-            ExitCode::FAILURE
-        }
         Some(followers) => serve::run_replicated(followers, port),
         None => serve::run(shards, port),
     }
+}
+
+/// The port of the last of `nodes` nodes on consecutive ports from
+/// `first`, or `None` when it would pass 65535.
+fn last_port(first: u16, nodes: usize) -> Option<u16> {
+    let offset = u16::try_from(nodes.saturating_sub(1)).ok()?;
+    first.checked_add(offset)
 }
 
 fn read(file: &str) -> Result<String, ExitCode> {
@@ -242,51 +250,6 @@ fn dxg_plan(file: &str) -> ExitCode {
     }
 }
 
-/// `plan --explain`: slice the DXG into per-target edges and print the
-/// cost model's verdict for each — both candidates with their derivation,
-/// eligibility, the winner, and the consolidation saving. Offline static
-/// costs (a Redis-like engine); the live tuner runs the same model over
-/// measured windows.
-fn plan_explain(file: &str) -> ExitCode {
-    use knactor_dxg::cost::{explain, CostModel, StaticCosts};
-    let dxg = match load_dxg(file) {
-        Ok(d) => d,
-        Err(code) => return code,
-    };
-    let costs = StaticCosts::default();
-    let reports = match explain(&dxg, &costs) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("cannot plan: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    println!(
-        "cost model (static: read {:.0}µs, write {:.0}µs, eval {:.0}µs per step)",
-        costs.read_seconds * 1e6,
-        costs.write_seconds * 1e6,
-        costs.eval_seconds * 1e6
-    );
-    for (report, plan) in &reports {
-        let best = report.best().map(|c| c.choice);
-        println!("edge {} (cast:{}):", report.edge, report.edge);
-        for c in &report.candidates {
-            let marker = if Some(c.choice) == best { "→" } else { " " };
-            let eligible = if c.eligible { "" } else { "  [ineligible]" };
-            println!(
-                "  {marker} {:<8} {:>9.1}µs/activation{}  ({})",
-                c.choice.to_string(),
-                c.per_activation * 1e6,
-                eligible,
-                c.note
-            );
-        }
-        let (naive, consolidated) = CostModel::default().consolidation(plan);
-        println!("    consolidation: {naive} assignments → {consolidated} write op(s)");
-    }
-    ExitCode::SUCCESS
-}
-
 fn dxg_udf(file: &str) -> ExitCode {
     let dxg = match load_dxg(file) {
         Ok(d) => d,
@@ -364,6 +327,27 @@ fn codegen_cmd(file: &str) -> ExitCode {
         Err(e) => {
             eprintln!("invalid schema: {e}");
             ExitCode::FAILURE
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn serve_refuses_ports_past_65535() {
+        assert_eq!(last_port(7070, 4), Some(7073));
+        assert_eq!(last_port(65535, 1), Some(65535));
+        assert_eq!(last_port(0, 65_536), Some(65535));
+        assert_eq!(last_port(65535, 2), None);
+        // 65,537 nodes need an offset that does not fit in a port at all.
+        assert_eq!(last_port(0, 65_537), None);
+        for flags in [
+            ["--port", "65535", "--shards", "2"],
+            ["--port", "65535", "--replicas", "1"],
+        ] {
+            assert_eq!(serve_cmd(&flags), ExitCode::FAILURE, "{flags:?}");
         }
     }
 }

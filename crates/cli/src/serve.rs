@@ -27,6 +27,8 @@ use serde_json::json;
 use std::process::ExitCode;
 use std::sync::Arc;
 
+/// `knactorctl serve [--shards N]`: `shards` nodes on consecutive ports
+/// from `port` (the caller has checked that the last one fits).
 pub fn run(shards: usize, port: u16) -> ExitCode {
     if shards == 0 {
         eprintln!("--shards must be at least 1");
@@ -84,8 +86,9 @@ pub fn run(shards: usize, port: u16) -> ExitCode {
 }
 
 /// `knactorctl serve --replicas N`: a leader plus `followers` follower
-/// nodes on consecutive ports. Followers replicate every `Replicated`
-/// store from the leader and hold elections if it dies.
+/// nodes on consecutive ports (the caller has checked that the last one
+/// fits). Followers replicate every `Replicated` store from the leader
+/// and hold elections if it dies.
 pub fn run_replicated(followers: usize, port: u16) -> ExitCode {
     let rt = match tokio::runtime::Builder::new_multi_thread()
         .enable_all()

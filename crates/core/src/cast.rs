@@ -89,14 +89,6 @@ pub struct CastConfig {
     pub dxg: Dxg,
     pub bindings: BTreeMap<String, CastBinding>,
     pub mode: CastMode,
-    /// Event-coalescing threshold: how many already-queued watch events
-    /// one loop turn may fold together, deduplicated by trigger key, one
-    /// activation per distinct key. `0`/`1` disable coalescing. Safe by
-    /// the same argument as the drain barrier: an activation reads
-    /// *current* state and no-op patches are suppressed, so folding
-    /// duplicate keys batches events without ever skipping one. The
-    /// cost model suggests a value from the observed event rate.
-    pub coalesce: usize,
 }
 
 /// `Dxg` has no `PartialEq`; [`knactor_dxg::equivalent`] is the right
@@ -107,7 +99,6 @@ impl PartialEq for CastConfig {
         self.name == other.name
             && self.bindings == other.bindings
             && self.mode == other.mode
-            && self.coalesce == other.coalesce
             && knactor_dxg::equivalent(&self.dxg, &other.dxg)
     }
 }
@@ -249,13 +240,9 @@ impl Edge for CastEdge {
         integrator::sources(&*self.host.api, requests, watch_event).await
     }
 
-    fn fold_limit(&self) -> usize {
-        self.config.coalesce.max(1)
-    }
-
-    /// One activation per distinct trigger key: folding duplicate keys
-    /// batches events without ever skipping one, because an activation
-    /// reads *current* state.
+    /// One activation per distinct trigger key: folding the duplicate
+    /// keys of a drained backlog batches events without ever skipping
+    /// one, because an activation reads *current* state.
     async fn process(&mut self, events: Vec<(usize, WatchEvent)>) {
         let component = format!("cast:{}", self.config.name);
         let mut keys = Vec::new();
@@ -506,7 +493,6 @@ mod tests {
             dxg: Dxg::parse(FIG6_RETAIL_DXG).unwrap(),
             bindings,
             mode: CastMode::Direct,
-            coalesce: 1,
         };
         (api, config)
     }

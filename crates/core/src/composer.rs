@@ -51,14 +51,6 @@ pub struct CastSection {
     pub dxg: knactor_dxg::Dxg,
     pub bindings: BTreeMap<String, CastBinding>,
     pub mode: CastMode,
-    /// Per-target-alias execution overrides, keyed by alias. An entry
-    /// wins over `mode` for that alias's edge only — this is how the
-    /// tuner re-plans one edge without restating the whole section.
-    /// Pushdown UDF names here get the same `:<alias>` suffix as `mode`.
-    pub mode_overrides: BTreeMap<String, CastMode>,
-    /// Per-target-alias coalescing window (see [`CastConfig::coalesce`]);
-    /// absent aliases run uncoalesced.
-    pub coalesce_overrides: BTreeMap<String, usize>,
 }
 
 /// A full declarative composition: what should be running.
@@ -84,35 +76,7 @@ impl Composition {
             dxg,
             bindings,
             mode,
-            mode_overrides: BTreeMap::new(),
-            coalesce_overrides: BTreeMap::new(),
         });
-        self
-    }
-
-    /// Override the execution mode of one cast edge (panics without a
-    /// cast section — overrides refine `with_cast`, they don't replace
-    /// it).
-    pub fn with_cast_mode_override(
-        mut self,
-        alias: impl Into<String>,
-        mode: CastMode,
-    ) -> Composition {
-        self.cast
-            .as_mut()
-            .expect("with_cast_mode_override requires with_cast first")
-            .mode_overrides
-            .insert(alias.into(), mode);
-        self
-    }
-
-    /// Override the coalescing window of one cast edge.
-    pub fn with_cast_coalesce(mut self, alias: impl Into<String>, coalesce: usize) -> Composition {
-        self.cast
-            .as_mut()
-            .expect("with_cast_coalesce requires with_cast first")
-            .coalesce_overrides
-            .insert(alias.into(), coalesce);
         self
     }
 
@@ -504,14 +468,7 @@ impl Composer {
         result
     }
 
-    /// The composer's name — the `composer` label on its metrics and the
-    /// prefix of its edge integrator names (`{name}:{alias}`).
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
-    /// The currently-applied composition, if any — the tuner's starting
-    /// point for minimal-diff re-plans.
+    /// The currently-applied composition, if any.
     pub async fn applied(&self) -> Option<Composition> {
         let inner = self.inner.take().await;
         let out = inner.applied.clone();
@@ -578,7 +535,7 @@ impl Composer {
                     .filter(|(a, _)| edge_dxg.inputs.contains_key(*a))
                     .map(|(a, b)| (a.clone(), b.clone()))
                     .collect();
-                let mode = match section.mode_overrides.get(&alias).unwrap_or(&section.mode) {
+                let mode = match &section.mode {
                     CastMode::Direct => CastMode::Direct,
                     CastMode::Pushdown { udf_name } => CastMode::Pushdown {
                         udf_name: format!("{udf_name}:{alias}"),
@@ -589,7 +546,6 @@ impl Composer {
                     dxg: edge_dxg,
                     bindings,
                     mode,
-                    coalesce: section.coalesce_overrides.get(&alias).copied().unwrap_or(1),
                 };
                 out.insert(format!("cast:{alias}"), IntegratorConfig::Cast(config));
             }
@@ -751,32 +707,6 @@ mod tests {
             applied.cast.unwrap().bindings["B"],
             CastBinding::correlated("b/state")
         );
-        composer.shutdown_all().await;
-    }
-
-    #[tokio::test]
-    async fn mode_override_retunes_one_edge_only() {
-        let api = api_with_stores(&["a/state", "b/state", "c/state"]).await;
-        let composer = Composer::new("t", api);
-        let comp = Composition::new().with_cast(two_edge_dxg(), bindings(), CastMode::Direct);
-        composer.apply(comp.clone()).await.unwrap();
-        let b_instance = composer.edge_instance("cast:B").await;
-        let c_instance = composer.edge_instance("cast:C").await;
-        let report = composer
-            .apply(comp.with_cast_mode_override(
-                "B",
-                CastMode::Pushdown {
-                    udf_name: "t-udf".to_string(),
-                },
-            ))
-            .await
-            .unwrap();
-        assert_eq!(report.reconfigured, vec!["cast:B"]);
-        assert_eq!(report.untouched, vec!["cast:C"]);
-        assert_eq!(report.restarts(), 0);
-        // Reconfigure keeps both tasks; only B's config changed.
-        assert_eq!(composer.edge_instance("cast:B").await, b_instance);
-        assert_eq!(composer.edge_instance("cast:C").await, c_instance);
         composer.shutdown_all().await;
     }
 

@@ -217,12 +217,6 @@ pub(crate) trait Edge: Send + 'static {
     /// Open the source from the resume point.
     fn open(&mut self) -> impl Future<Output = Result<Source<Self::Event>>> + Send;
 
-    /// How many already-queued events one loop turn may fold into a
-    /// single [`Edge::process`] call.
-    fn fold_limit(&self) -> usize {
-        1
-    }
-
     /// Process events in arrival order and advance the resume point past
     /// them. Failures are per event, never fatal: the loop keeps running.
     fn process(&mut self, events: Vec<(usize, Self::Event)>) -> impl Future<Output = ()> + Send;
@@ -368,8 +362,9 @@ async fn run<E: Edge>(mut edge: E, mut cmd_rx: mpsc::UnboundedReceiver<Command>)
                         }
                         Some(Command::Drain(ack)) => {
                             if let Some(source) = &mut source {
-                                let backlog = take_queued(source, Vec::new(), usize::MAX);
-                                edge.process(backlog).await;
+                                // The backlog: every event the source already holds.
+                                let backlog = std::iter::from_fn(|| source.try_recv());
+                                edge.process(backlog.collect()).await;
                             }
                             let _ = ack.send(());
                         }
@@ -378,9 +373,8 @@ async fn run<E: Edge>(mut edge: E, mut cmd_rx: mpsc::UnboundedReceiver<Command>)
                 }
                 event = next(&mut source) => {
                     // Stream ended or never opened: back to `open`.
-                    let (Some(first), Some(source)) = (event, &mut source) else { break };
-                    let batch = take_queued(source, vec![first], edge.fold_limit());
-                    edge.process(batch).await;
+                    let Some(event) = event else { break };
+                    edge.process(vec![event]).await;
                 }
             }
         }
@@ -397,21 +391,6 @@ async fn next<E>(source: &mut Option<Source<E>>) -> Option<(usize, E)> {
             None
         }
     }
-}
-
-/// Extend `batch` with events the source already holds, up to `limit`.
-fn take_queued<E>(
-    source: &mut Source<E>,
-    mut batch: Vec<(usize, E)>,
-    limit: usize,
-) -> Vec<(usize, E)> {
-    while batch.len() < limit {
-        let Some(event) = source.try_recv() else {
-            break;
-        };
-        batch.push(event);
-    }
-    batch
 }
 
 /// An open source: the streams of one or several stores merged into one
@@ -598,7 +577,6 @@ mod tests {
             ]
             .into(),
             mode: CastMode::Direct,
-            coalesce: 1,
         }
     }
 

@@ -60,7 +60,6 @@ pub mod runtime;
 pub mod schema_file;
 pub mod sync;
 pub mod telemetry;
-pub mod tuner;
 
 pub use cast::{Cast, CastBinding, CastConfig, CastMode, KeyBinding};
 pub use composer::{
@@ -74,7 +73,3 @@ pub use runtime::Runtime;
 pub use schema_file::{parse_schema, schema_to_yaml};
 pub use sync::{Sync, SyncConfig, SyncDest, SyncMode};
 pub use telemetry::{Span, TraceCollector};
-pub use tuner::{
-    placement_for, Decision, DecisionState, EdgeObservation, Tuner, TunerConfig, TunerHandle,
-    TunerPolicy,
-};

@@ -32,9 +32,6 @@
 //! | `knactor_rpc_calls_total` | counter | `method` |
 //! | `knactor_rpc_call_seconds` | histogram | `method` |
 //! | `knactor_cast_coalesced_events_total` | counter | `integrator` |
-//! | `knactor_planner_cost` | gauge (ns/activation) | `composer`, `edge`, `choice` |
-//! | `knactor_planner_replans_total` | counter | `composer` |
-//! | `knactor_planner_replan_errors_total` | counter | `composer` |
 //!
 //! # Spans vs. histograms
 //!

@@ -39,13 +39,11 @@
 //!   assignments as store-side UDFs for pushdown
 
 pub mod analyze;
-pub mod cost;
 pub mod diff;
 pub mod plan;
 pub mod spec;
 
 pub use analyze::{Analysis, Finding, Severity};
-pub use cost::{CandidateCost, CostModel, EdgeCostInput, EdgeCostReport, ExecChoice, Placement};
 pub use diff::{affected_targets, diff, equivalent, Change};
 pub use plan::{Plan, Step};
 pub use spec::{Assignment, Dxg, InputRef};

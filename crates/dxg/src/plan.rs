@@ -114,36 +114,6 @@ impl Plan {
     pub fn udf_inputs(dxg: &Dxg) -> Vec<String> {
         dxg.inputs.keys().cloned().collect()
     }
-
-    /// The metric stage labels an integrator executing this plan records
-    /// per candidate: Direct pays `read-sources`, `evaluate`, and one
-    /// `write:{alias}` per step; Pushdown pays the single
-    /// `pushdown-execute` round trip. [`crate::cost`] maps measured
-    /// stage histograms through these names when scoring candidates.
-    pub fn stage_names(&self, choice: crate::cost::ExecChoice) -> Vec<String> {
-        match choice {
-            crate::cost::ExecChoice::Pushdown => {
-                vec![crate::cost::STAGE_PUSHDOWN.to_string()]
-            }
-            crate::cost::ExecChoice::Direct => {
-                let mut out = vec![
-                    crate::cost::STAGE_READ.to_string(),
-                    crate::cost::STAGE_EVAL.to_string(),
-                ];
-                let mut seen = std::collections::BTreeSet::new();
-                for step in &self.steps {
-                    if seen.insert(&step.target_alias) {
-                        out.push(format!(
-                            "{}{}",
-                            crate::cost::STAGE_WRITE_PREFIX,
-                            step.target_alias
-                        ));
-                    }
-                }
-                out
-            }
-        }
-    }
 }
 
 #[cfg(test)]

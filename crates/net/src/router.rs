@@ -789,8 +789,49 @@ mod tests {
         );
     }
 
+    /// Set `x` on every key of `writes` in one atomic op: a transaction,
+    /// or a UDF that binds every key (what a pushdown Cast edge runs).
+    async fn set_atomically(
+        router: &ShardRouter,
+        op: &str,
+        store: &StoreId,
+        writes: &[(&ObjectKey, u64)],
+    ) -> Result<()> {
+        match op {
+            "transact" => {
+                let ops = writes.iter().map(|(key, x)| TxOp {
+                    store: store.clone(),
+                    key: (*key).clone(),
+                    patch: json!({"x": x}),
+                    upsert: true,
+                    expected: None,
+                });
+                router.transact(ops.collect()).await.map(drop)
+            }
+            "execute_udf" => {
+                let alias = |i: usize| format!("K{i}");
+                let assignments = writes.iter().enumerate().map(|(i, (_, x))| {
+                    knactor_store::udf::UdfAssignment {
+                        target_alias: alias(i),
+                        target_path: "x".to_string(),
+                        expr: x.to_string(),
+                    }
+                });
+                let inputs = (0..writes.len()).map(alias).collect();
+                let name = "set-x".to_string();
+                let registered = router.register_udf(name.clone(), inputs, assignments.collect());
+                registered.await?;
+                let bindings = writes.iter().enumerate().map(|(i, (key, _))| {
+                    knactor_store::UdfBinding::new(alias(i), store.clone(), (*key).clone())
+                });
+                router.execute_udf(name, bindings.collect()).await.map(drop)
+            }
+            other => unreachable!("no atomic op {other}"),
+        }
+    }
+
     #[tokio::test]
-    async fn cross_shard_transact_is_rejected_with_a_typed_error() {
+    async fn cross_shard_atomic_ops_are_rejected() {
         let (_, _, router) = ShardRouter::in_process(4, Subject::integrator("t"));
         let store = StoreId::new("tx/state");
         router
@@ -798,54 +839,29 @@ mod tests {
             .await
             .unwrap();
         // Find two keys on different shards.
-        let mut a = None;
-        let mut b = None;
-        for i in 0..64 {
-            let k = key(i);
-            let shard = router.shard_of_key(&store, &k);
-            if a.is_none() {
-                a = Some((k, shard));
-            } else if shard != a.as_ref().unwrap().1 {
-                b = Some((k, shard));
-                break;
-            }
+        let ka = key(0);
+        let home = router.shard_of_key(&store, &ka);
+        let kb = (1..64)
+            .map(key)
+            .find(|k| router.shard_of_key(&store, k) != home)
+            .expect("64 keys over 4 shards cannot all share one");
+        for (op, x) in [("transact", 3), ("execute_udf", 4)] {
+            let cross = set_atomically(&router, op, &store, &[(&ka, x), (&kb, x)]).await;
+            let err = cross.unwrap_err();
+            assert!(
+                format!("{err}").contains("cross-shard"),
+                "{op}: wrong error: {err}"
+            );
+            // The single-shard case still works.
+            set_atomically(&router, op, &store, &[(&ka, x)])
+                .await
+                .unwrap();
+            let value = router.get(store.clone(), ka.clone()).await.unwrap().value;
+            assert_eq!(value["x"].as_f64(), Some(x as f64), "{op}");
         }
-        let (ka, _) = a.unwrap();
-        let (kb, _) = b.unwrap();
-        let cross = vec![
-            TxOp {
-                store: store.clone(),
-                key: ka.clone(),
-                patch: json!({"x": 1}),
-                upsert: true,
-                expected: None,
-            },
-            TxOp {
-                store: store.clone(),
-                key: kb,
-                patch: json!({"x": 2}),
-                upsert: true,
-                expected: None,
-            },
-        ];
-        let err = router.transact(cross).await.unwrap_err();
-        assert!(
-            format!("{err}").contains("cross-shard"),
-            "wrong error: {err}"
-        );
-        // Single-shard transactions still work.
-        let single = vec![TxOp {
-            store: store.clone(),
-            key: ka.clone(),
-            patch: json!({"x": 3}),
-            upsert: true,
-            expected: None,
-        }];
-        router.transact(single).await.unwrap();
-        assert_eq!(
-            router.get(store.clone(), ka).await.unwrap().value["x"],
-            json!(3)
-        );
+        // A refused op writes nothing: the other shard's key never appeared.
+        let untouched = router.get(store.clone(), kb).await.unwrap_err();
+        assert!(matches!(untouched, Error::NotFound(_)), "{untouched}");
     }
 
     #[tokio::test]

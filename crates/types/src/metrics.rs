@@ -381,11 +381,6 @@ impl HistogramSnapshot {
     pub fn min_seconds(&self) -> Option<f64> {
         (self.count > 0).then(|| self.min_ns as f64 / NS_PER_SEC)
     }
-
-    /// Arithmetic mean, in seconds.
-    pub fn mean_seconds(&self) -> Option<f64> {
-        (self.count > 0).then(|| self.sum_ns as f64 / self.count as f64 / NS_PER_SEC)
-    }
 }
 
 /// Owned, sorted label pairs — the series-identity form snapshots store.
@@ -553,8 +548,8 @@ impl MetricsSnapshot {
 
     /// Windowed rate of one counter series: its [`delta`](Self::delta)
     /// against `earlier`, divided by the window length. This is the
-    /// number `knactorctl metrics --watch` and the planner's cost model
-    /// want — events per second *between* the two scrapes.
+    /// number `knactorctl metrics --watch` wants — events per second
+    /// *between* the two scrapes.
     pub fn counter_rate(
         &self,
         earlier: &MetricsSnapshot,
@@ -754,8 +749,7 @@ mod tests {
         assert_eq!(hs.count, 2);
         // Only the 10µs bucket moved inside the window.
         assert_eq!(hs.buckets.iter().sum::<u64>(), 2);
-        let mean = hs.mean_seconds().unwrap();
-        assert!((mean - 10e-6).abs() < 1e-9, "windowed mean {mean}");
+        assert_eq!(hs.sum_ns, 20_000, "windowed sum");
     }
 
     #[test]
@@ -774,7 +768,6 @@ mod tests {
             "empty delta must look like an empty histogram"
         );
         assert_eq!(hs.max_ns, 0);
-        assert_eq!(hs.mean_seconds(), None);
         assert_eq!(hs.p50(), None);
     }
 

@@ -111,7 +111,6 @@ async fn main() -> Result<()> {
             dxg,
             bindings,
             mode: CastMode::Direct,
-            coalesce: 1,
         },
         &"o1".into(),
     )

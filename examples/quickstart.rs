@@ -59,7 +59,6 @@ async fn main() -> Result<()> {
             dxg,
             bindings,
             mode: CastMode::Direct,
-            coalesce: 1,
         })
         .await?;
 

@@ -56,7 +56,7 @@
 //! bindings.insert("A".to_string(), CastBinding::correlated("a/state"));
 //! bindings.insert("B".to_string(), CastBinding::correlated("b/state"));
 //! let cast = Cast::new(std::sync::Arc::clone(&api));
-//! let config = CastConfig { name: "demo".into(), dxg, bindings, mode: CastMode::Direct, coalesce: 1 };
+//! let config = CastConfig { name: "demo".into(), dxg, bindings, mode: CastMode::Direct };
 //! cast.activate_once(&config, &"obj".into()).await?;
 //!
 //! let b = api.get("b/state".into(), "obj".into()).await?;

@@ -216,7 +216,6 @@ async fn chaos_cast_converges_to_faultless_state() {
             dxg: Dxg::parse(dxg_spec).unwrap(),
             bindings,
             mode: CastMode::Direct,
-            coalesce: 1,
         }
     };
     let deploy = |api: &Arc<dyn ExchangeApi>| {

@@ -107,7 +107,6 @@ async fn t3_adapt_to_shipping_schema_v2() {
         dxg,
         bindings: retail_bindings(),
         mode: CastMode::Direct,
-        coalesce: 1,
     };
     cast.activate_once(&config, &"o".into()).await.unwrap();
 

@@ -31,7 +31,6 @@ async fn notifications_integrator_composes_without_touching_services() {
             dxg: Dxg::parse(&spec).unwrap(),
             bindings,
             mode: CastMode::Direct,
-            coalesce: 1,
         })
         .await
         .unwrap();

@@ -245,18 +245,14 @@ async fn scraped_metrics_agree_with_delivered_records() {
     server.shutdown().await;
 }
 
-/// End-to-end self-tuning: an edge deployed in the slower Direct mode
-/// over a Redis-profiled TCP exchange (modelled 250µs reads / 300µs
-/// writes) carries streaming load while the tuner scrapes, scores, and —
-/// live, via an ordinary minimal-diff `Composer::apply` — switches it to
-/// pushdown. The switch must lose nothing, duplicate nothing, keep the
-/// edge's task (reconfigure-in-place, no restart), and surface
-/// `knactor_planner_replans_total` / `knactor_planner_cost` in a wire
-/// scrape.
+/// Direct vs Pushdown is chosen per composition, and changing it is an
+/// ordinary apply. An edge deployed in Direct over a TCP exchange is
+/// re-applied in Pushdown partway through a stream of creates: the switch
+/// must reconfigure the edge in place (same task), lose nothing, duplicate
+/// nothing, and the switched edge's `pushdown-execute` stage must show in
+/// a wire scrape.
 #[tokio::test]
-async fn tuner_switches_edge_live_with_zero_loss_and_planner_metrics() {
-    use knactor::core::tuner::{Tuner, TunerConfig, TunerPolicy};
-
+async fn mode_switch_under_traffic_loses_and_duplicates_nothing() {
     const TUNE_DXG: &str = "\
 Input:
   A: Tune/v1/A/a
@@ -265,18 +261,16 @@ DXG:
   B:
     copied: A.tag
 ";
-    const POST: usize = 40;
+    const WRITES: usize = 120;
+    const SWITCH_AT: usize = 40;
 
     let server = ExchangeServer::bind_ephemeral().await.unwrap();
     let client = TcpClient::connect(server.local_addr(), Subject::operator("tune"))
         .await
         .unwrap();
     let api: Arc<dyn ExchangeApi> = Arc::new(client);
-    // Redis-profiled stores: direct execution pays the modelled read and
-    // write windows per activation; pushdown folds them into the
-    // exchange-side UDF. That asymmetry is what the tuner must find.
     for s in ["tunea/state", "tuneb/state"] {
-        api.create_store(s.into(), ProfileSpec::Redis)
+        api.create_store(s.into(), ProfileSpec::Instant)
             .await
             .unwrap();
     }
@@ -284,151 +278,99 @@ DXG:
     let mut bindings = BTreeMap::new();
     bindings.insert("A".to_string(), CastBinding::correlated("tunea/state"));
     bindings.insert("B".to_string(), CastBinding::correlated("tuneb/state"));
-    let composer = Arc::new(Composer::new("tune-e2e", Arc::clone(&api)));
-    composer
-        .apply(Composition::new().with_cast(
-            Dxg::parse(TUNE_DXG).unwrap(),
-            bindings,
-            CastMode::Direct,
-        ))
-        .await
-        .unwrap();
+    let composition =
+        |mode| Composition::new().with_cast(Dxg::parse(TUNE_DXG).unwrap(), bindings.clone(), mode);
+    let composer = Composer::new("tune-e2e", Arc::clone(&api));
+    composer.apply(composition(CastMode::Direct)).await.unwrap();
     let instance_before = composer.edge_instance("cast:B").await;
 
     // Independent duplicate audit: watch the target store from the
-    // beginning and count post-hoc how often each key was written.
+    // beginning and count afterwards how often each key was written.
     let mut target_events = api
         .watch("tuneb/state".into(), Revision::ZERO)
         .await
         .unwrap();
 
-    let tuner = Tuner::spawn(
-        Arc::clone(&composer),
-        TunerConfig {
-            interval: Duration::from_millis(250),
-            policy: TunerPolicy {
-                hysteresis: 0.2,
-                cooldown: Duration::from_secs(1),
-                min_activations: 5,
-            },
-            shard_map: None,
-            pushdown_udf: "tune-e2e-udf".to_string(),
-        },
-    );
-
-    // Streaming load until the tuner re-plans (bounded): the switch must
-    // happen *under* traffic, not in a quiet gap.
-    let deadline = std::time::Instant::now() + Duration::from_secs(30);
-    let mut written = 0usize;
-    let mut switched = false;
-    while std::time::Instant::now() < deadline {
-        api.create(
-            "tunea/state".into(),
-            format!("tk-{written}").as_str().into(),
-            json!({"tag": format!("t{written}")}),
-        )
-        .await
-        .unwrap();
-        written += 1;
-        if written.is_multiple_of(10) {
-            if let Some(applied) = composer.applied().await {
-                let section = applied.cast.expect("cast section stays applied");
-                if let Some(CastMode::Pushdown { udf_name }) = section.mode_overrides.get("B") {
-                    assert_eq!(udf_name, "tune-e2e-udf");
-                    switched = true;
-                    break;
+    // A stream of creates; the switch is applied once the first
+    // `SWITCH_AT` have been acknowledged, while the rest are still coming.
+    let (reached, switch_point) = tokio::sync::oneshot::channel();
+    let writer = {
+        let api = Arc::clone(&api);
+        tokio::spawn(async move {
+            let mut reached = Some(reached);
+            for i in 0..WRITES {
+                let key = format!("tk-{i}");
+                let value = json!({"tag": format!("t{i}")});
+                api.create("tunea/state".into(), key.as_str().into(), value)
+                    .await
+                    .unwrap();
+                if i + 1 == SWITCH_AT {
+                    let _ = reached.take().unwrap().send(());
                 }
             }
-        }
-        tokio::time::sleep(Duration::from_millis(4)).await;
-    }
-    assert!(switched, "tuner never re-planned the edge to pushdown");
+        })
+    };
+    switch_point.await.unwrap();
+    let pushdown = CastMode::Pushdown {
+        udf_name: "tune-e2e-udf".to_string(),
+    };
+    let report = composer.apply(composition(pushdown)).await.unwrap();
+    writer.await.unwrap();
 
     // The switch was a reconfigure, not a respawn.
+    assert_eq!(report.reconfigured, vec!["cast:B"]);
+    assert_eq!(report.restarts(), 0);
     assert_eq!(composer.edge_instance("cast:B").await, instance_before);
 
-    // Post-switch traffic proves the pushdown edge carries load.
-    for _ in 0..POST {
-        api.create(
-            "tunea/state".into(),
-            format!("tk-{written}").as_str().into(),
-            json!({"tag": format!("t{written}")}),
-        )
-        .await
-        .unwrap();
-        written += 1;
-    }
-
-    // Barrier: last key propagated, then drain the edge.
-    let last = written - 1;
-    knactor::testkit::await_object_state(
-        &api,
-        "tuneb/state",
-        format!("tk-{last}").as_str(),
-        Duration::from_secs(15),
-        |v| v["copied"] == json!(format!("t{last}")),
-    )
-    .await
-    .unwrap();
-    composer.drain_all().await.unwrap();
-
-    // Zero loss: every source key landed in the target with the right
-    // value, across the live re-plan.
-    let audit = |v: &serde_json::Value, i: usize| v["copied"] == json!(format!("t{i}"));
-    for i in 0..written {
+    // Zero loss: every source key landed in the target with its value,
+    // across the switch.
+    for i in 0..WRITES {
         knactor::testkit::await_object_state(
             &api,
             "tuneb/state",
             format!("tk-{i}").as_str(),
             Duration::from_secs(15),
-            |v| audit(v, i),
+            |v| v["copied"] == json!(format!("t{i}")),
         )
         .await
-        .unwrap_or_else(|e| panic!("key tk-{i} lost or wrong across re-plan: {e}"));
+        .unwrap_or_else(|e| panic!("key tk-{i} lost or wrong across the switch: {e}"));
     }
-    let (objects, _) = api.list("tuneb/state".into()).await.unwrap();
+    composer.drain_all().await.unwrap();
+    let (objects, head) = api.list("tuneb/state".into()).await.unwrap();
     assert_eq!(
         objects.len(),
-        written,
+        WRITES,
         "target must hold exactly the source keys"
     );
 
-    // Zero duplicates: the watch saw each key mutated exactly once.
-    tokio::time::sleep(Duration::from_millis(200)).await;
+    // Zero duplicates: up to the head the listing was taken at, the watch
+    // saw each key mutated exactly once.
     let mut per_key: BTreeMap<String, usize> = BTreeMap::new();
-    while let Some(event) = target_events.try_recv() {
-        if !event.is_delete() {
-            *per_key.entry(event.key.as_str().to_string()).or_default() += 1;
+    let audit = async {
+        while let Some(event) = target_events.recv().await {
+            if !event.is_delete() {
+                *per_key.entry(event.key.as_str().to_string()).or_default() += 1;
+            }
+            if event.revision >= head {
+                return;
+            }
         }
-    }
+        panic!("target watch ended before revision {head:?}");
+    };
+    tokio::time::timeout(Duration::from_secs(15), audit)
+        .await
+        .expect("target watch never reached the listed head");
     assert_eq!(
         per_key.len(),
-        written,
+        WRITES,
         "every key must have produced an event"
     );
     for (key, n) in &per_key {
-        assert_eq!(*n, 1, "key {key} written {n} times across the re-plan");
+        assert_eq!(*n, 1, "key {key} written {n} times across the switch");
     }
 
-    // Planner metrics surface in a wire scrape.
+    // The switched edge ran its activations as pushdown.
     let snap = scrape(server.local_addr()).await;
-    assert!(
-        counter_value(
-            &snap,
-            "knactor_planner_replans_total",
-            &[("composer", "tune-e2e")]
-        ) >= 1,
-        "re-plan must be counted"
-    );
-    assert!(
-        snap.gauges.iter().any(|g| {
-            g.name == "knactor_planner_cost"
-                && g.labels
-                    .iter()
-                    .any(|(k, v)| k == "composer" && v == "tune-e2e")
-        }),
-        "per-candidate cost gauges must be scrapeable"
-    );
     let pd_stage = histogram(
         &snap,
         "knactor_activation_stage_seconds",
@@ -440,7 +382,6 @@ DXG:
     .expect("switched edge must have recorded pushdown stages");
     assert!(pd_stage.count > 0);
 
-    tuner.shutdown().await;
     composer.shutdown_all().await;
     server.shutdown().await;
 }

@@ -289,7 +289,6 @@ async fn sharded_cast_converges_to_faultless_state() {
             dxg: Dxg::parse(dxg_spec).unwrap(),
             bindings,
             mode: CastMode::Direct,
-            coalesce: 1,
         }
     };
     let deploy = |api: &Arc<dyn ExchangeApi>| {
@@ -592,7 +591,6 @@ async fn a_sharded_watch_ends_with_any_shard_and_hears_it_again_after_a_restart(
             dxg: Dxg::parse(dxg).unwrap(),
             bindings: bindings.into(),
             mode: CastMode::Direct,
-            coalesce: 1,
         })
         .await
         .unwrap();
