@@ -23,7 +23,7 @@ fn main() {
     let rows = runtime.block_on(run_all(&params)).expect("table2 run");
 
     println!(
-        "Table 2: latency completing one shipment request (mean of {} runs, ms)\n",
+        "Table 2: latency completing one shipment request\n(median ±half the interquartile range over {} runs, ms)\n",
         params.iterations
     );
     println!("{}", render(&rows));

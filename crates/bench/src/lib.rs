@@ -11,7 +11,8 @@
 //! * Table 1 is measured from the manifests in `knactor_apps::table1`;
 //!   run with `cargo run -p knactor-bench --bin table1`.
 //!
-//! Criterion micro-benchmarks for the §3.3 ablations live in `benches/`.
+//! The §3.3 ablations are Table 2's rows and columns, `benchmark/` probes,
+//! and the wire-count tests of `knactor_core::cast`.
 
 pub mod scatter;
 pub mod table2;

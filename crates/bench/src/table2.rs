@@ -33,24 +33,51 @@ use knactor_types::{Result, StoreId};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Averaged stage breakdown for one setup.
+/// One stage over a setup's iterations: the median and the interquartile
+/// range (quantiles interpolated linearly between closest ranks).
+#[derive(Debug, Clone, Copy)]
+pub struct Spread {
+    pub median: Duration,
+    pub iqr: Duration,
+}
+
+impl Spread {
+    fn of(mut samples: Vec<Duration>) -> Spread {
+        samples.sort();
+        let last = (samples.len() - 1) as f64;
+        let at = |p: f64| {
+            let rank = last * p;
+            let (lo, hi) = (samples[rank as usize], samples[rank.ceil() as usize]);
+            lo + (hi - lo).mul_f64(rank.fract())
+        };
+        let (median, iqr) = (at(0.5), at(0.75) - at(0.25));
+        Spread { median, iqr }
+    }
+}
+
+/// Stage breakdown for one setup.
 #[derive(Debug, Clone)]
 pub struct Breakdown {
     pub setup: String,
     /// `None` renders as `-` (stages that do not exist for RPC).
-    pub c_i: Option<Duration>,
-    pub i: Option<Duration>,
-    pub i_s: Option<Duration>,
-    pub s: Duration,
-    pub prop: Duration,
-    pub total: Duration,
+    pub c_i: Option<Spread>,
+    pub i: Option<Spread>,
+    pub i_s: Option<Spread>,
+    pub s: Spread,
+    pub prop: Spread,
+    pub total: Spread,
 }
 
-fn ms(d: Duration) -> String {
-    format!("{:.1}", d.as_secs_f64() * 1e3)
+/// `median ±IQR/2`, in milliseconds.
+fn ms(d: Spread) -> String {
+    format!(
+        "{:.1} ±{:.1}",
+        d.median.as_secs_f64() * 1e3,
+        d.iqr.as_secs_f64() * 1e3 / 2.0
+    )
 }
 
-fn ms_opt(d: Option<Duration>) -> String {
+fn ms_opt(d: Option<Spread>) -> String {
     d.map(ms).unwrap_or_else(|| "-".to_string())
 }
 
@@ -94,7 +121,7 @@ impl Params {
         Params {
             shipment_processing: Duration::from_millis(30),
             rpc_rtt: Duration::from_micros(300),
-            iterations: 2,
+            iterations: 5,
         }
     }
 }
@@ -105,36 +132,34 @@ pub async fn measure_rpc(params: &Params) -> Result<Breakdown> {
     let checkout =
         CheckoutRpc::connect_with_latency(server.local_addr().expect("bound"), params.rpc_rtt)
             .await?;
-    let mut totals = Duration::ZERO;
+    let mut totals = Vec::new();
     for i in 0..params.iterations {
         let order = sample_order(1200.0 + i as f64);
         let t0 = Instant::now();
         checkout.place_order(&order).await?;
-        totals += t0.elapsed();
+        totals.push(t0.elapsed());
     }
     server.shutdown().await;
-    let total = totals / params.iterations;
     // Calibrate S to the timer's actual behaviour (tokio sleeps overshoot
     // by ~a millisecond); otherwise the overshoot would be misattributed
     // to propagation. The Knactor setups measure S between store commits,
     // which absorbs the same overshoot automatically.
-    let s = {
-        let mut acc = Duration::ZERO;
-        for _ in 0..3 {
-            let t = Instant::now();
-            tokio::time::sleep(params.shipment_processing).await;
-            acc += t.elapsed();
-        }
-        acc / 3
-    };
+    let mut sleeps = Vec::new();
+    for _ in 0..3 {
+        let t = Instant::now();
+        tokio::time::sleep(params.shipment_processing).await;
+        sleeps.push(t.elapsed());
+    }
+    let s = Spread::of(sleeps);
+    let prop = totals.iter().map(|t| t.saturating_sub(s.median)).collect();
     Ok(Breakdown {
         setup: "RPC".to_string(),
         c_i: None,
         i: None,
         i_s: None,
         s,
-        prop: total.saturating_sub(s),
-        total,
+        prop: Spread::of(prop),
+        total: Spread::of(totals),
     })
 }
 
@@ -148,11 +173,8 @@ pub async fn measure_knactor(
     let (object, _, client) = in_process(Subject::integrator("retail"));
     // Fresh WAL directory per measurement: a durable profile must not
     // replay a previous run's state.
-    let data_dir = std::env::temp_dir().join(format!(
-        "knactor-table2-{}-{}",
-        std::process::id(),
-        unique_run_id()
-    ));
+    let run = format!("knactor-table2-{}-{setup}", std::process::id());
+    let data_dir = std::env::temp_dir().join(run);
     let _ = std::fs::remove_dir_all(&data_dir);
     let client = client.with_data_dir(&data_dir);
     let api: Arc<dyn ExchangeApi> = Arc::new(client);
@@ -271,49 +293,30 @@ pub async fn measure_knactor(
 
         let s = t_quote.duration_since(t_ship_request);
         let total = t_complete.duration_since(t_order);
-        acc.add(c_i, i_stage, i_s_stage, s, total);
+        acc.0.push([c_i, i_stage, i_s_stage, s, total]);
     }
 
     app.shutdown().await;
     let _ = std::fs::remove_dir_all(&data_dir);
-    Ok(acc.finish(setup, params.iterations))
+    Ok(acc.finish(setup))
 }
 
-fn unique_run_id() -> u64 {
-    use std::sync::atomic::{AtomicU64, Ordering};
-    static N: AtomicU64 = AtomicU64::new(0);
-    N.fetch_add(1, Ordering::Relaxed)
-}
-
+/// Every iteration's stages for one setup: C-I, I, I-S, S and Total.
 #[derive(Default)]
-struct StageAcc {
-    c_i: Duration,
-    i: Duration,
-    i_s: Duration,
-    s: Duration,
-    total: Duration,
-}
+struct StageAcc(Vec<[Duration; 5]>);
 
 impl StageAcc {
-    fn add(&mut self, c_i: Duration, i: Duration, i_s: Duration, s: Duration, total: Duration) {
-        self.c_i += c_i;
-        self.i += i;
-        self.i_s += i_s;
-        self.s += s;
-        self.total += total;
-    }
-
-    fn finish(self, setup: &str, n: u32) -> Breakdown {
-        let total = self.total / n;
-        let s = self.s / n;
+    fn finish(self, setup: &str) -> Breakdown {
+        let column = |c: usize| Spread::of(self.0.iter().map(|stages| stages[c]).collect());
+        let prop = self.0.iter().map(|[.., s, total]| total.saturating_sub(*s));
         Breakdown {
             setup: setup.to_string(),
-            c_i: Some(self.c_i / n),
-            i: Some(self.i / n),
-            i_s: Some(self.i_s / n),
-            s,
-            prop: total.saturating_sub(s),
-            total,
+            c_i: Some(column(0)),
+            i: Some(column(1)),
+            i_s: Some(column(2)),
+            s: column(3),
+            prop: Spread::of(prop.collect()),
+            total: column(4),
         }
     }
 }
@@ -369,34 +372,34 @@ mod tests {
         let redis = by_name("K-redis");
         let udf = by_name("K-redis-udf");
 
-        // S dominates everywhere.
+        // Every ordering is judged on medians. S dominates everywhere.
         for r in &rows {
             assert!(
-                r.s >= params.shipment_processing / 2,
+                r.s.median >= params.shipment_processing / 2,
                 "{}: S = {:?}",
                 r.setup,
                 r.s
             );
-            assert!(r.total >= r.s, "{}", r.setup);
+            assert!(r.total.median >= r.s.median, "{}", r.setup);
         }
         // Propagation ordering: apiserver ≫ redis ≥ udf; RPC smallest.
         assert!(
-            apiserver.prop > redis.prop,
+            apiserver.prop.median > redis.prop.median,
             "apiserver {:?} !> redis {:?}",
             apiserver.prop,
             redis.prop
         );
         assert!(
-            redis.prop >= udf.prop || redis.prop < Duration::from_millis(2),
+            redis.prop.median >= udf.prop.median || redis.prop.median < Duration::from_millis(2),
             "redis {:?} vs udf {:?}",
             redis.prop,
             udf.prop
         );
-        assert!(rpc.prop < apiserver.prop);
+        assert!(rpc.prop.median < apiserver.prop.median);
         // The apiserver's C-I reflects poll-based watch delivery (≥ ~5ms).
-        assert!(apiserver.c_i.unwrap() > Duration::from_millis(4));
+        assert!(apiserver.c_i.unwrap().median > Duration::from_millis(4));
         // Pushdown eliminates the I-S hop.
-        assert_eq!(udf.i_s.unwrap(), Duration::ZERO);
+        assert_eq!(udf.i_s.unwrap().median, Duration::ZERO);
         let _ = render(&rows);
     }
 }

@@ -471,14 +471,58 @@ mod tests {
     use super::*;
     use knactor_dxg::spec::FIG6_RETAIL_DXG;
     use knactor_net::loopback::in_process;
-    use knactor_net::proto::ProfileSpec;
+    use knactor_net::proto::{ProfileSpec, Response};
+    use knactor_net::{BoxFuture, Exchange, Subscription};
     use knactor_rbac::Subject;
+    use parking_lot::Mutex;
     use serde_json::json;
     use std::time::Duration;
 
-    async fn retail_setup() -> (Arc<dyn ExchangeApi>, CastConfig) {
+    /// Test-only exchange over a loopback one that logs every call it
+    /// passes on: `Get <store>`, `BatchPut <store> x<items>`, and the
+    /// variant name of anything else.
+    struct Counted {
+        inner: Arc<dyn ExchangeApi>,
+        calls: Mutex<Vec<String>>,
+    }
+
+    impl Counted {
+        /// The calls since the last `take`, sorted.
+        fn take(&self) -> Vec<String> {
+            let mut calls = std::mem::take(&mut *self.calls.lock());
+            calls.sort();
+            calls
+        }
+    }
+
+    impl Exchange for Counted {
+        fn call(&self, request: Request) -> BoxFuture<'_, Result<Response>> {
+            let call = match &request {
+                Request::Get { store, .. } => format!("Get {store}"),
+                Request::BatchPut { store, items } => format!("BatchPut {store} x{}", items.len()),
+                other => format!("{other:?}")
+                    .split([' ', '{'])
+                    .next()
+                    .unwrap()
+                    .to_string(),
+            };
+            self.calls.lock().push(call);
+            self.inner.call(request)
+        }
+
+        fn open(&self, request: Request) -> BoxFuture<'_, Result<Subscription>> {
+            self.inner.open(request)
+        }
+    }
+
+    /// The retail stores and the Fig. 6 Cast over them (C, S and P each
+    /// in a store of its own), behind a [`Counted`].
+    async fn retail_setup() -> (Arc<Counted>, CastConfig) {
         let (_, _, client) = in_process(Subject::integrator("cast"));
-        let api: Arc<dyn ExchangeApi> = Arc::new(client);
+        let api = Arc::new(Counted {
+            inner: Arc::new(client),
+            calls: Mutex::default(),
+        });
         for s in ["checkout/state", "shipping/state", "payment/state"] {
             api.create_store(StoreId::new(s), ProfileSpec::Instant)
                 .await
@@ -497,6 +541,20 @@ mod tests {
         (api, config)
     }
 
+    /// Fill C, S and P for `key` as after Shipping and Payment have
+    /// answered, so every Fig. 6 assignment is ready; then clear the log.
+    async fn fill_ready(api: &Counted, config: &CastConfig, key: &ObjectKey) {
+        let quote = json!({"id": "t", "quote": {"price": 9.0, "currency": "USD"}});
+        for (alias, value) in [("C", order()), ("S", quote), ("P", json!({"id": "p"}))] {
+            let binding = &config.bindings[alias];
+            let key = resolve_key(binding, key);
+            api.patch(binding.store.clone(), key, value, true)
+                .await
+                .unwrap();
+        }
+        api.take();
+    }
+
     fn order() -> Value {
         json!({
             "order": {
@@ -512,17 +570,25 @@ mod tests {
     #[tokio::test]
     async fn activate_once_propagates_order_to_shipping_and_payment() {
         let (api, config) = retail_setup().await;
-        api.create(
-            StoreId::new("checkout/state"),
-            ObjectKey::new("order-1"),
-            order(),
-        )
-        .await
-        .unwrap();
-        let cast = Cast::new(Arc::clone(&api));
-        cast.activate_once(&config, &ObjectKey::new("order-1"))
-            .await
-            .unwrap();
+        let key = ObjectKey::new("order-1");
+        fill_ready(&api, &config, &key).await;
+        let cast = Cast::new(api.clone());
+        cast.activate_once(&config, &key).await.unwrap();
+
+        // On the wire (§3.3 consolidation): one get per binding and one
+        // batch_put per target store, 3 items for the 8 assignments.
+        assert_eq!(Plan::build(&config.dxg).unwrap().assignment_count(), 8);
+        assert_eq!(
+            api.take(),
+            [
+                "BatchPut checkout/state x1",
+                "BatchPut payment/state x1",
+                "BatchPut shipping/state x1",
+                "Get checkout/state",
+                "Get payment/state",
+                "Get shipping/state",
+            ]
+        );
 
         let s = api
             .get(StoreId::new("shipping/state"), ObjectKey::new("order-1"))
@@ -538,6 +604,42 @@ mod tests {
             .unwrap();
         assert_eq!(p.value["amount"], json!(1212.5));
         assert_eq!(p.value["currency"], json!("USD"));
+
+        let c = api
+            .get(StoreId::new("checkout/state"), ObjectKey::new("order-1"))
+            .await
+            .unwrap();
+        assert_eq!(c.value["order"]["trackingID"], json!("t"));
+        assert_eq!(c.value["order"]["paymentID"], json!("p"));
+        assert_eq!(c.value["order"]["shippingCost"], json!(9.0));
+    }
+
+    #[tokio::test]
+    async fn aliases_sharing_a_store_share_one_batch_put() {
+        let (api, mut config) = retail_setup().await;
+        // P moves into S's store, under a key of its own.
+        let payment = CastBinding::fixed("shipping/state", "pay-o");
+        config.bindings.insert("P".to_string(), payment);
+        let key = ObjectKey::new("o");
+        fill_ready(&api, &config, &key).await;
+        let cast = Cast::new(api.clone());
+        cast.activate_once(&config, &key).await.unwrap();
+
+        assert_eq!(
+            api.take(),
+            [
+                "BatchPut checkout/state x1",
+                "BatchPut shipping/state x2",
+                "Get checkout/state",
+                "Get shipping/state",
+                "Get shipping/state",
+            ]
+        );
+        let p = api
+            .get(StoreId::new("shipping/state"), ObjectKey::new("pay-o"))
+            .await
+            .unwrap();
+        assert_eq!(p.value["amount"], json!(1212.5));
     }
 
     #[tokio::test]
@@ -546,7 +648,7 @@ mod tests {
         api.create(StoreId::new("checkout/state"), ObjectKey::new("o"), order())
             .await
             .unwrap();
-        let cast = Cast::new(Arc::clone(&api));
+        let cast = Cast::new(api.clone());
         cast.activate_once(&config, &ObjectKey::new("o"))
             .await
             .unwrap();
@@ -593,7 +695,7 @@ mod tests {
     #[tokio::test]
     async fn spawned_cast_reacts_to_events_and_converges() {
         let (api, config) = retail_setup().await;
-        let cast = Cast::new(Arc::clone(&api));
+        let cast = Cast::new(api.clone());
         let controller = cast.spawn(config).await.unwrap();
 
         api.create(
@@ -648,29 +750,31 @@ mod tests {
         config.mode = CastMode::Pushdown {
             udf_name: "retail-dxg".to_string(),
         };
-        api.create(
-            StoreId::new("checkout/state"),
-            ObjectKey::new("o2"),
-            order(),
-        )
-        .await
-        .unwrap();
-        let cast = Cast::new(Arc::clone(&api));
-        cast.activate_once(&config, &ObjectKey::new("o2"))
-            .await
-            .unwrap();
+        let key = ObjectKey::new("o2");
+        fill_ready(&api, &config, &key).await;
+        let cast = Cast::new(api.clone());
+        let plan = prepare(&cast.0, &config).await.unwrap();
+        assert_eq!(api.take(), ["RegisterUdf"]);
+        activation(&cast.0, &config, &plan, &key).await.unwrap();
+        // The whole activation is one call (§3.3 pushdown).
+        assert_eq!(api.take(), ["ExecuteUdf"]);
         let s = api
             .get(StoreId::new("shipping/state"), ObjectKey::new("o2"))
             .await
             .unwrap();
         assert_eq!(s.value["method"], json!("air"));
         assert_eq!(s.value["addr"], json!("Soda Hall"));
+        let c = api
+            .get(StoreId::new("checkout/state"), ObjectKey::new("o2"))
+            .await
+            .unwrap();
+        assert_eq!(c.value["order"]["shippingCost"], json!(9.0));
     }
 
     #[tokio::test]
     async fn reconfigure_swaps_policy_at_runtime() {
         let (api, config) = retail_setup().await;
-        let cast = Cast::new(Arc::clone(&api));
+        let cast = Cast::new(api.clone());
         let controller = cast.spawn(config.clone()).await.unwrap();
 
         // T2 of Table 1: change the shipment-method threshold from 1000

@@ -138,16 +138,6 @@ impl StoreHandle {
         }
     }
 
-    /// Direct handle with open access (tests and single-process tools).
-    pub fn open_access(store: Arc<ObjectStore>, subject: Subject) -> StoreHandle {
-        StoreHandle {
-            store,
-            subject,
-            access: Arc::new(RwLock::new(AccessController::new())),
-            ctx: Arc::new(RwLock::new(AccessContext::default())),
-        }
-    }
-
     pub fn store_id(&self) -> knactor_types::StoreId {
         self.store.id().clone()
     }
@@ -357,15 +347,19 @@ impl StoreHandle {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::exchange::DataExchange;
     use crate::profile::EngineProfile;
     use knactor_rbac::{FieldRule, Role, RoleBinding, Rule};
     use knactor_types::StoreId;
     use serde_json::json;
     use std::time::Duration;
 
-    fn open_handle() -> StoreHandle {
-        let store = Arc::new(ObjectStore::in_memory("t/s"));
-        StoreHandle::open_access(store, Subject::operator("test"))
+    /// A handle on the one store of a fresh, open-access exchange.
+    fn open_handle(profile: EngineProfile) -> StoreHandle {
+        let exchange = DataExchange::new();
+        exchange.create_store("t/s", profile).unwrap();
+        let id = StoreId::new("t/s");
+        exchange.handle(&id, Subject::operator("test")).unwrap()
     }
 
     fn key(s: &str) -> ObjectKey {
@@ -374,7 +368,7 @@ mod tests {
 
     #[tokio::test]
     async fn crud_through_handle() {
-        let h = open_handle();
+        let h = open_handle(EngineProfile::instant());
         let rev = h.create("a", json!({"x": 1})).await.unwrap();
         assert_eq!(rev, Revision(1));
         assert_eq!(h.get(&key("a")).await.unwrap().value, json!({"x": 1}));
@@ -394,7 +388,7 @@ mod tests {
 
     #[tokio::test]
     async fn push_watch_delivers_promptly() {
-        let h = open_handle();
+        let h = open_handle(EngineProfile::instant());
         let mut w = h.watch().unwrap();
         h.create("a", json!(1)).await.unwrap();
         let e = tokio::time::timeout(Duration::from_millis(100), w.recv())
@@ -412,8 +406,7 @@ mod tests {
             },
             ..EngineProfile::instant()
         };
-        let store = Arc::new(ObjectStore::open(StoreId::new("t/poll"), profile).unwrap());
-        let h = StoreHandle::open_access(store, Subject::operator("test"));
+        let h = open_handle(profile);
         let mut w = h.watch().unwrap();
         h.create("a", json!(1)).await.unwrap();
         // Immediately after commit, nothing is visible yet.
@@ -470,7 +463,7 @@ mod tests {
 
     #[tokio::test]
     async fn retention_via_handle() {
-        let h = open_handle();
+        let h = open_handle(EngineProfile::instant());
         h.create("a", json!(1)).await.unwrap();
         h.register_consumer(&key("a"), "me").await.unwrap();
         let collected = h.mark_processed(&key("a"), "me").await.unwrap();

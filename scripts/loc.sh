@@ -6,7 +6,7 @@
 #   scripts/loc.sh                  per-crate table (crates/*/src), its total, and
 #                                   the count over every .rs under crates/ (the
 #                                   "non-test Rust under crates/" PR 12 quoted;
-#                                   it counts tests/ and benches/ files whole)
+#                                   it counts tests/ files whole)
 #   scripts/loc.sh FILE...          per-file table and total
 #   scripts/loc.sh --markdown ...   the same as a markdown table (CI summary)
 set -euo pipefail
